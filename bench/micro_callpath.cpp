@@ -6,8 +6,10 @@
 // batch-wake coalescing (BM_GateBatchWake: N per-slot notifies vs one
 // notify_batch; lane=gate_batch), pipelined concurrent callers through
 // the batched plane with and without coalesced flush wakes
-// (BM_BatchedPipelined: p50/p99; lane=batched_pipelined), and the two
-// tlibc memcpy implementations.
+// (BM_BatchedPipelined: p50/p99; lane=batched_pipelined), the two
+// tlibc memcpy implementations, and the in-enclave cipher on its own
+// (BM_CbcSector: one 4 KB AES-256-CBC sector each way, key schedule per
+// sector vs cached; lane=cipher).
 //
 // Additionally, every --backend=SPEC argument registers one dynamic
 // benchmark that drives a no-op call through that registry spec —
@@ -38,10 +40,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "apps/crypto/cbc.hpp"
 #include "bench/bench_common.hpp"
 #include "common/completion_gate.hpp"
 #include "common/cycles.hpp"
@@ -118,6 +122,20 @@ struct PipelinedRow {
 };
 std::map<std::string, PipelinedRow>& pipelined_rows() {
   static std::map<std::string, PipelinedRow> rows;
+  return rows;
+}
+
+// --json rows of the BM_CbcSector lane: one sector through the cipher.
+struct CipherRow {
+  std::string op;        ///< encrypt / decrypt
+  std::string schedule;  ///< per_sector / cached
+  std::uint64_t sector_bytes = 0;
+  std::uint64_t iterations = 0;
+  double seconds = 0;
+  bool aesni = false;
+};
+std::map<std::string, CipherRow>& cipher_rows() {
+  static std::map<std::string, CipherRow> rows;
   return rows;
 }
 
@@ -256,6 +274,63 @@ void BM_BatchedWaitPolicy(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_BatchedWaitPolicy)->Arg(0)->Arg(200);
+
+// The in-enclave cipher of the sector workloads on its own: one 4 KB
+// AES-256-CBC sector per iteration, encrypt (range(0)=0, serial: CBC
+// chains it) or decrypt (range(0)=1, 8 blocks wide on AES-NI), with the
+// key schedule expanded per sector (range(1)=0) or built once and reused
+// (range(1)=1, what SectorStore does).  JSONL rows: lane=cipher.
+void BM_CbcSector(benchmark::State& state) {
+  const bool decrypt = state.range(0) != 0;
+  const bool cached = state.range(1) != 0;
+  constexpr std::size_t kSector = 4096;
+  std::mt19937_64 rng(wall_ns());  // run-time inputs, never folded
+  std::uint8_t key[app::Aes256::kKeySize];
+  std::uint8_t iv[app::Aes256::kBlockSize];
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng());
+  for (auto& b : iv) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::uint8_t> in(kSector);
+  std::vector<std::uint8_t> out(kSector);
+  for (auto& b : in) b = static_cast<std::uint8_t>(rng());
+  const app::Aes256 schedule(key);
+  auto sector = [&](const app::Aes256& aes) {
+    if (decrypt) {
+      app::CbcDecryptor dec(aes, iv);
+      dec.update(in.data(), kSector, out.data());
+    } else {
+      app::CbcEncryptor enc(aes, iv);
+      enc.update(in.data(), kSector, out.data());
+    }
+  };
+  const std::uint64_t t0 = wall_ns();
+  for (auto _ : state) {
+    if (cached) {
+      sector(schedule);
+    } else {
+      const app::Aes256 fresh(key);
+      sector(fresh);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const double seconds = static_cast<double>(wall_ns() - t0) * 1e-9;
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSector));
+  CipherRow row;
+  row.op = decrypt ? "decrypt" : "encrypt";
+  row.schedule = cached ? "cached" : "per_sector";
+  row.sector_bytes = kSector;
+  row.iterations = static_cast<std::uint64_t>(state.iterations());
+  row.seconds = seconds;
+  row.aesni = app::Aes256::has_aesni();
+  state.SetLabel(row.op + "/" + row.schedule);
+  cipher_rows()[row.op + "/" + row.schedule] = row;
+}
+BENCHMARK(BM_CbcSector)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 // The CompletionGate wait policies head to head on the cost this repo's
 // ISSUE cares about: the *blocked* caller — spin budget 0, so every wait
@@ -743,6 +818,24 @@ int main(int argc, char** argv) {
                  .set("ns_per_batch", per_batch * 1e9)
                  .set("sleeps", row.sleeps)
                  .set("wakeups", row.wakeups)
+                 .str()
+          << '\n';
+    }
+    for (const auto& [key, row] : cipher_rows()) {
+      const double per_sector =
+          row.iterations > 0
+              ? row.seconds / static_cast<double>(row.iterations)
+              : 0.0;
+      out << zc::bench::JsonRow()
+                 .set("figure", "micro_callpath")
+                 .set("lane", "cipher")
+                 .set("op", row.op)
+                 .set("schedule", row.schedule)
+                 .set("aesni", static_cast<std::uint64_t>(row.aesni))
+                 .set("sector_bytes", row.sector_bytes)
+                 .set("iterations", row.iterations)
+                 .set("seconds", row.seconds)
+                 .set("ns_per_sector", per_sector * 1e9)
                  .str()
           << '\n';
     }

@@ -1,5 +1,7 @@
 #include "apps/crypto/aes.hpp"
 
+#include <string.h>  // explicit_bzero
+
 #include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -106,31 +108,113 @@ constexpr GmulTables kGmul = make_gmul_tables();
 
 namespace {
 
-__attribute__((target("aes,sse2"))) inline void aesni_encrypt(
-    const std::uint8_t* rk, const std::uint8_t* in, std::uint8_t* out) {
-  const auto* keys = reinterpret_cast<const __m128i*>(rk);
-  __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-  s = _mm_xor_si128(s, _mm_loadu_si128(keys + 0));
-  for (unsigned r = 1; r < Aes256::kRounds; ++r) {
-    s = _mm_aesenc_si128(s, _mm_loadu_si128(keys + r));
-  }
-  s = _mm_aesenclast_si128(s, _mm_loadu_si128(keys + Aes256::kRounds));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+#define ZC_AESNI __attribute__((target("aes,sse2")))
+
+using RoundKeys = __m128i[Aes256::kRounds + 1];
+
+ZC_AESNI inline __m128i load_block(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-__attribute__((target("aes,sse2"))) inline void aesni_decrypt(
-    const std::uint8_t* dk, const std::uint8_t* in, std::uint8_t* out) {
-  const auto* keys = reinterpret_cast<const __m128i*>(dk);
-  __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-  s = _mm_xor_si128(s, _mm_loadu_si128(keys + Aes256::kRounds));
+ZC_AESNI inline void store_block(std::uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+// The CBC routines copy the schedule into a local once per buffer (the
+// compiler keeps what fits in registers; each round's key serves all the
+// blocks in flight) and wipe the copy on return.
+ZC_AESNI inline void load_round_keys(const std::uint8_t* bytes,
+                                     RoundKeys& k) {
+  for (unsigned r = 0; r <= Aes256::kRounds; ++r) {
+    k[r] = load_block(bytes + r * Aes256::kBlockSize);
+  }
+}
+
+ZC_AESNI inline __m128i aesni_decrypt(const RoundKeys& k, __m128i s) {
+  s = _mm_xor_si128(s, k[Aes256::kRounds]);
   for (unsigned r = Aes256::kRounds - 1; r > 0; --r) {
-    s = _mm_aesdec_si128(s, _mm_loadu_si128(keys + r));
+    s = _mm_aesdec_si128(s, k[r]);
   }
-  s = _mm_aesdeclast_si128(s, _mm_loadu_si128(keys + 0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+  return _mm_aesdeclast_si128(s, k[0]);
 }
 
-__attribute__((target("aes,sse2"))) inline void aesni_make_dec_keys(
+// Serial CBC encrypt: each block's input is the previous ciphertext, so
+// blocks cannot overlap.  What goes is the per-block call, AES-NI check,
+// key reload and byte-wise XOR; p ^ k[0] does not depend on the chain, so
+// only one XOR sits on it.
+ZC_AESNI void aesni_cbc_encrypt(const std::uint8_t* rk, std::uint8_t* iv,
+                                const std::uint8_t* in, std::size_t blocks,
+                                std::uint8_t* out) {
+  RoundKeys k;
+  load_round_keys(rk, k);
+  __m128i c = load_block(iv);
+  for (std::size_t i = 0; i < blocks; ++i) {
+    const std::size_t off = i * Aes256::kBlockSize;
+    __m128i s = _mm_xor_si128(_mm_xor_si128(load_block(in + off), k[0]), c);
+    for (unsigned r = 1; r < Aes256::kRounds; ++r) {
+      s = _mm_aesenc_si128(s, k[r]);
+    }
+    c = _mm_aesenclast_si128(s, k[Aes256::kRounds]);
+    store_block(out + off, c);
+  }
+  store_block(iv, c);
+  explicit_bzero(k, sizeof(k));
+}
+
+constexpr std::size_t kWide = 8;  // decrypt blocks in flight
+
+// Wide CBC decrypt: each plaintext block needs only two ciphertext blocks,
+// so kWide independent aesdec chains run interleaved round by round and the
+// AES unit's pipeline stays full; the unroll pragmas let the compiler keep
+// the kWide states in registers.  Each group loads all its ciphertext
+// before storing any plaintext (out == in is safe), and the empty asm pins
+// every loaded block in a register: the compiler may not re-read it from
+// `in`, so the block XORed into the next plaintext is the block that was
+// decrypted, even if another thread rewrites `in`.
+ZC_AESNI void aesni_cbc_decrypt(const std::uint8_t* dk, std::uint8_t* iv,
+                                const std::uint8_t* in, std::size_t blocks,
+                                std::uint8_t* out) {
+  RoundKeys k;
+  load_round_keys(dk, k);
+  __m128i prev = load_block(iv);
+  std::size_t i = 0;
+  for (; i + kWide <= blocks; i += kWide) {
+    const std::uint8_t* src = in + i * Aes256::kBlockSize;
+    std::uint8_t* dst = out + i * Aes256::kBlockSize;
+    __m128i c[kWide];
+    __m128i s[kWide];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kWide; ++j) {
+      c[j] = load_block(src + j * Aes256::kBlockSize);
+      asm("" : "+x"(c[j]));
+      s[j] = _mm_xor_si128(c[j], k[Aes256::kRounds]);
+    }
+    for (unsigned r = Aes256::kRounds - 1; r > 0; --r) {
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < kWide; ++j) {
+        s[j] = _mm_aesdec_si128(s[j], k[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kWide; ++j) {
+      s[j] = _mm_aesdeclast_si128(s[j], k[0]);
+      store_block(dst + j * Aes256::kBlockSize,
+                  _mm_xor_si128(s[j], j == 0 ? prev : c[j - 1]));
+    }
+    prev = c[kWide - 1];
+  }
+  for (; i < blocks; ++i) {
+    const std::size_t off = i * Aes256::kBlockSize;
+    __m128i c = load_block(in + off);
+    asm("" : "+x"(c));
+    store_block(out + off, _mm_xor_si128(aesni_decrypt(k, c), prev));
+    prev = c;
+  }
+  store_block(iv, prev);
+  explicit_bzero(k, sizeof(k));
+}
+
+ZC_AESNI inline void aesni_make_dec_keys(
     const std::uint8_t* rk, std::uint8_t* dk) {
   const auto* enc = reinterpret_cast<const __m128i*>(rk);
   auto* dec = reinterpret_cast<__m128i*>(dk);
@@ -170,11 +254,17 @@ Aes256::Aes256(const std::uint8_t key[kKeySize]) noexcept {
     }
   }
   std::memcpy(round_keys_.data(), w, round_keys_.size());
+  explicit_bzero(w, sizeof(w));
 #ifdef ZC_AES_X86
   if (has_aesni()) {
     aesni_make_dec_keys(round_keys_.data(), dec_keys_.data());
   }
 #endif
+}
+
+Aes256::~Aes256() {
+  explicit_bzero(round_keys_.data(), round_keys_.size());
+  explicit_bzero(dec_keys_.data(), dec_keys_.size());
 }
 
 void Aes256::encrypt_block_sw(const std::uint8_t in[kBlockSize],
@@ -275,26 +365,67 @@ bool Aes256::has_aesni() noexcept { return false; }
 
 #endif  // ZC_AES_X86
 
+// A single block is a one-block CBC pass from an all-zero IV.
 void Aes256::encrypt_block(const std::uint8_t in[kBlockSize],
                            std::uint8_t out[kBlockSize]) const noexcept {
-#ifdef ZC_AES_X86
-  if (has_aesni()) {
-    aesni_encrypt(round_keys_.data(), in, out);
-    return;
-  }
-#endif
-  encrypt_block_sw(in, out);
+  std::uint8_t iv[kBlockSize] = {};
+  cbc_encrypt(iv, in, kBlockSize, out);
 }
 
 void Aes256::decrypt_block(const std::uint8_t in[kBlockSize],
                            std::uint8_t out[kBlockSize]) const noexcept {
+  std::uint8_t iv[kBlockSize] = {};
+  cbc_decrypt(iv, in, kBlockSize, out);
+}
+
+void Aes256::cbc_encrypt(std::uint8_t iv[kBlockSize], const std::uint8_t* in,
+                         std::size_t n, std::uint8_t* out) const noexcept {
 #ifdef ZC_AES_X86
   if (has_aesni()) {
-    aesni_decrypt(dec_keys_.data(), in, out);
+    aesni_cbc_encrypt(round_keys_.data(), iv, in, n / kBlockSize, out);
     return;
   }
 #endif
-  decrypt_block_sw(in, out);
+  cbc_encrypt_sw(iv, in, n, out);
+}
+
+void Aes256::cbc_decrypt(std::uint8_t iv[kBlockSize], const std::uint8_t* in,
+                         std::size_t n, std::uint8_t* out) const noexcept {
+#ifdef ZC_AES_X86
+  if (has_aesni()) {
+    aesni_cbc_decrypt(dec_keys_.data(), iv, in, n / kBlockSize, out);
+    return;
+  }
+#endif
+  cbc_decrypt_sw(iv, in, n, out);
+}
+
+void Aes256::cbc_encrypt_sw(std::uint8_t iv[kBlockSize],
+                            const std::uint8_t* in, std::size_t n,
+                            std::uint8_t* out) const noexcept {
+  for (std::size_t off = 0; off + kBlockSize <= n; off += kBlockSize) {
+    std::uint8_t block[kBlockSize];
+    for (std::size_t i = 0; i < kBlockSize; ++i) {
+      block[i] = static_cast<std::uint8_t>(in[off + i] ^ iv[i]);
+    }
+    encrypt_block_sw(block, iv);
+    std::memcpy(out + off, iv, kBlockSize);
+  }
+}
+
+void Aes256::cbc_decrypt_sw(std::uint8_t iv[kBlockSize],
+                            const std::uint8_t* in, std::size_t n,
+                            std::uint8_t* out) const noexcept {
+  for (std::size_t off = 0; off + kBlockSize <= n; off += kBlockSize) {
+    std::uint8_t cipher[kBlockSize];
+    std::memcpy(cipher, in + off, kBlockSize);  // in may alias out
+    std::uint8_t block[kBlockSize];
+    decrypt_block_sw(cipher, block);
+    for (std::size_t i = 0; i < kBlockSize; ++i) {
+      out[off + i] = static_cast<std::uint8_t>(block[i] ^ iv[i]);
+    }
+    std::memcpy(iv, cipher, kBlockSize);
+  }
 }
 
 }  // namespace zc::app

@@ -5,23 +5,16 @@
 
 namespace zc::app {
 
-CbcEncryptor::CbcEncryptor(const std::uint8_t key[Aes256::kKeySize],
+CbcEncryptor::CbcEncryptor(const Aes256& aes,
                            const std::uint8_t iv[Aes256::kBlockSize]) noexcept
-    : aes_(key) {
+    : aes_(aes) {
   std::memcpy(iv_, iv, sizeof(iv_));
 }
 
 void CbcEncryptor::update(const std::uint8_t* in, std::size_t n,
                           std::uint8_t* out) {
   assert(n % Aes256::kBlockSize == 0);
-  for (std::size_t off = 0; off < n; off += Aes256::kBlockSize) {
-    std::uint8_t block[Aes256::kBlockSize];
-    for (std::size_t i = 0; i < Aes256::kBlockSize; ++i) {
-      block[i] = static_cast<std::uint8_t>(in[off + i] ^ iv_[i]);
-    }
-    aes_.encrypt_block(block, out + off);
-    std::memcpy(iv_, out + off, Aes256::kBlockSize);
-  }
+  aes_.cbc_encrypt(iv_, in, n, out);
 }
 
 void CbcEncryptor::final(const std::uint8_t* in, std::size_t n,
@@ -35,25 +28,16 @@ void CbcEncryptor::final(const std::uint8_t* in, std::size_t n,
   update(block, Aes256::kBlockSize, out);
 }
 
-CbcDecryptor::CbcDecryptor(const std::uint8_t key[Aes256::kKeySize],
+CbcDecryptor::CbcDecryptor(const Aes256& aes,
                            const std::uint8_t iv[Aes256::kBlockSize]) noexcept
-    : aes_(key) {
+    : aes_(aes) {
   std::memcpy(iv_, iv, sizeof(iv_));
 }
 
 void CbcDecryptor::update(const std::uint8_t* in, std::size_t n,
                           std::uint8_t* out) {
   assert(n % Aes256::kBlockSize == 0);
-  for (std::size_t off = 0; off < n; off += Aes256::kBlockSize) {
-    std::uint8_t cipher[Aes256::kBlockSize];
-    std::memcpy(cipher, in + off, Aes256::kBlockSize);  // in may alias out
-    std::uint8_t block[Aes256::kBlockSize];
-    aes_.decrypt_block(cipher, block);
-    for (std::size_t i = 0; i < Aes256::kBlockSize; ++i) {
-      out[off + i] = static_cast<std::uint8_t>(block[i] ^ iv_[i]);
-    }
-    std::memcpy(iv_, cipher, Aes256::kBlockSize);
-  }
+  aes_.cbc_decrypt(iv_, in, n, out);
 }
 
 int CbcDecryptor::unpad(const std::uint8_t block[Aes256::kBlockSize]) noexcept {
@@ -69,7 +53,8 @@ std::vector<std::uint8_t> cbc_encrypt(const std::uint8_t key[32],
                                       const std::uint8_t iv[16],
                                       const std::uint8_t* data,
                                       std::size_t n) {
-  CbcEncryptor enc(key, iv);
+  const Aes256 aes(key);
+  CbcEncryptor enc(aes, iv);
   const std::size_t full = n / Aes256::kBlockSize * Aes256::kBlockSize;
   std::vector<std::uint8_t> out(full + Aes256::kBlockSize);
   enc.update(data, full, out.data());
@@ -82,7 +67,8 @@ std::vector<std::uint8_t> cbc_decrypt(const std::uint8_t key[32],
                                       const std::uint8_t* data,
                                       std::size_t n) {
   if (n == 0 || n % Aes256::kBlockSize != 0) return {};
-  CbcDecryptor dec(key, iv);
+  const Aes256 aes(key);
+  CbcDecryptor dec(aes, iv);
   std::vector<std::uint8_t> out(n);
   dec.update(data, n, out.data());
   const int tail = CbcDecryptor::unpad(out.data() + n - Aes256::kBlockSize);

@@ -20,7 +20,8 @@ FileCryptoStats encrypt_file(EnclaveLibc& libc, const std::string& in_path,
   TFile out = libc.fopen(out_path.c_str(), "wb");
   if (!out) return stats;
 
-  CbcEncryptor enc(key, iv);
+  const Aes256 aes(key);
+  CbcEncryptor enc(aes, iv);
   std::vector<std::uint8_t> plain(chunk_bytes);
   std::vector<std::uint8_t> cipher(chunk_bytes + Aes256::kBlockSize);
 
@@ -65,7 +66,8 @@ FileCryptoStats decrypt_file(EnclaveLibc& libc, const std::string& in_path,
     if (!out) return stats;
   }
 
-  CbcDecryptor dec(key, iv);
+  const Aes256 aes(key);
+  CbcDecryptor dec(aes, iv);
   std::vector<std::uint8_t> cipher(chunk_bytes);
   std::vector<std::uint8_t> plain(chunk_bytes);
   // The final block is held back until EOF so its padding can be stripped.

@@ -46,12 +46,14 @@ void decrypt_from_frame(const void* src, std::size_t n, void* ctx) {
 
 SectorStore::SectorStore(EnclaveLibc& libc, std::string path,
                          std::size_t sector_bytes, const std::uint8_t key[32])
-    : libc_(&libc), path_(std::move(path)), sector_bytes_(sector_bytes) {
+    : libc_(&libc),
+      path_(std::move(path)),
+      sector_bytes_(sector_bytes),
+      aes_(key) {
   if (sector_bytes_ == 0 || sector_bytes_ % Aes256::kBlockSize != 0) {
     sector_bytes_ = 0;  // invalid; every operation refuses
     return;
   }
-  std::memcpy(key_, key, sizeof(key_));
   staging_.resize(sector_bytes_);
 }
 
@@ -74,7 +76,7 @@ bool SectorStore::write_sector(std::uint64_t index, const std::uint8_t* plain,
   if (!valid() || !file_) return false;
   std::uint8_t iv[16];
   sector_iv(index, iv);
-  CbcEncryptor enc(key_, iv);
+  CbcEncryptor enc(aes_, iv);
 
   if (mode == CopyMode::kDouble) {
     enc.update(plain, sector_bytes_, staging_.data());
@@ -103,7 +105,7 @@ bool SectorStore::read_sector(std::uint64_t index, std::uint8_t* plain,
   if (!valid() || !file_) return false;
   std::uint8_t iv[16];
   sector_iv(index, iv);
-  CbcDecryptor dec(key_, iv);
+  CbcDecryptor dec(aes_, iv);
 
   if (mode == CopyMode::kDouble) {
     if (file_.read(staging_.data(), sector_bytes_) != sector_bytes_) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/crypto/aes.hpp"
 #include "sgx/tlibc_stdio.hpp"
 
 namespace zc::app {
@@ -36,7 +37,8 @@ namespace zc::app {
 class SectorStore {
  public:
   /// `sector_bytes` must be a non-zero multiple of 16 (the AES block).
-  /// The key is copied; the store derives one IV per sector from `index`.
+  /// The key is expanded once, here, and only its schedule is kept (wiped
+  /// on destruction); the store derives one IV per sector from `index`.
   SectorStore(EnclaveLibc& libc, std::string path, std::size_t sector_bytes,
               const std::uint8_t key[32]);
 
@@ -63,7 +65,7 @@ class SectorStore {
   EnclaveLibc* libc_;
   std::string path_;
   std::size_t sector_bytes_;
-  std::uint8_t key_[32];
+  Aes256 aes_;
   TFile file_;
   /// Trusted ciphertext bounce buffer — the copy kDouble pays and kSingle
   /// elides.  Kept across sectors so its allocation is not on the hot path.

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <climits>
+#include <ctime>
 #endif
 
 namespace zc {
@@ -48,9 +49,15 @@ void CompletionGate::futex_block(const void* addr,
                                  std::uint32_t observed) noexcept {
   // The kernel atomically re-checks *addr == observed before sleeping, so
   // a wake between the caller's load and this syscall returns EAGAIN
-  // instead of being lost.  EINTR/spurious returns are handled by the
-  // caller's predicate loop.
-  syscall(SYS_futex, addr, FUTEX_WAIT_PRIVATE, observed, nullptr, nullptr, 0);
+  // instead of being lost.  That re-check sees only *addr: a predicate
+  // that also reads other state (a stop flag) can miss a notify() that
+  // lands between its check and this syscall, so the sleep is bounded
+  // and the caller's predicate loop re-checks at least every 100 ms
+  // instead of sleeping forever.  Timeouts, EINTR and spurious returns
+  // all go back to that loop.
+  timespec bound{};
+  bound.tv_nsec = 100'000'000;
+  syscall(SYS_futex, addr, FUTEX_WAIT_PRIVATE, observed, &bound, nullptr, 0);
 }
 
 void CompletionGate::wake_sleepers(const void* addr) noexcept {

@@ -26,8 +26,12 @@
 //                   the pre-gate backends.
 //        kFutex   — sleep in the kernel on the word itself
 //                   (FUTEX_WAIT_PRIVATE); one syscall to sleep, one
-//                   (by the waker) to wake.  Falls back to kCondvar on
-//                   non-Linux hosts behind the same API.
+//                   (by the waker) to wake.  Each sleep is bounded to
+//                   100 ms, so a predicate that also reads state other
+//                   than the word (a stop flag) re-checks it at least
+//                   that often even if a notify() raced its sleep.  Falls
+//                   back to kCondvar on non-Linux hosts behind the same
+//                   API.
 //        kCondvar — sleep on the gate's mutex+condition_variable (the
 //                   portable fallback, and zc_async's historical wait).
 //             Sleeps/wakes are counted in BackendStats::caller_sleeps /

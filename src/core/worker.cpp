@@ -156,6 +156,7 @@ void ZcWorker::main() {
           // Count every resume — spurious ones included — so wake storms
           // show up in worker_wakeups, not just in syscall profiles.
           while (cmd_.load(std::memory_order_acquire) == SchedCmd::kPause) {
+            parks_.fetch_add(1, std::memory_order_release);
             cv_.wait(lock);
             stats_.worker_wakeups.add();
           }

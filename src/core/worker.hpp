@@ -102,6 +102,14 @@ class ZcWorker {
     return served_.load(std::memory_order_relaxed);
   }
 
+  /// Times the paused worker was about to block on its condition variable
+  /// (bumped under the park mutex just before each wait).  Once a caller
+  /// sees it rise, a command() that changes the command word is certain to
+  /// wake the worker rather than race ahead of its wait.
+  std::uint64_t parks() const noexcept {
+    return parks_.load(std::memory_order_acquire);
+  }
+
  private:
   void main();
 
@@ -119,6 +127,7 @@ class ZcWorker {
   CompletionGate done_gate_;  ///< the caller's hand-off wait on status_
 
   std::atomic<std::uint64_t> served_{0};
+  std::atomic<std::uint64_t> parks_{0};
   std::mutex mu_;
   std::condition_variable cv_;
   std::jthread thread_;

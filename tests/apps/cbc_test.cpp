@@ -35,11 +35,12 @@ struct Sp80038AF25 {
       "9cfc4e967edb808d679f777bc6702c7d"
       "39f23369a9d9bacfa530e26304231461"
       "b2eb05e2c39be9fcda6c19078c6a9d1b");
+  Aes256 aes{key.data()};
 };
 
 TEST(Cbc, NistSp80038AEncryptVector) {
   Sp80038AF25 v;
-  CbcEncryptor enc(v.key.data(), v.iv.data());
+  CbcEncryptor enc(v.aes, v.iv.data());
   std::vector<std::uint8_t> out(v.plain.size());
   enc.update(v.plain.data(), v.plain.size(), out.data());
   EXPECT_EQ(out, v.cipher);
@@ -47,7 +48,7 @@ TEST(Cbc, NistSp80038AEncryptVector) {
 
 TEST(Cbc, NistSp80038ADecryptVector) {
   Sp80038AF25 v;
-  CbcDecryptor dec(v.key.data(), v.iv.data());
+  CbcDecryptor dec(v.aes, v.iv.data());
   std::vector<std::uint8_t> out(v.cipher.size());
   dec.update(v.cipher.data(), v.cipher.size(), out.data());
   EXPECT_EQ(out, v.plain);
@@ -56,7 +57,7 @@ TEST(Cbc, NistSp80038ADecryptVector) {
 TEST(Cbc, ChunkedUpdatesMatchOneShot) {
   Sp80038AF25 v;
   // Process 16 bytes at a time: the chained IV must carry across calls.
-  CbcEncryptor enc(v.key.data(), v.iv.data());
+  CbcEncryptor enc(v.aes, v.iv.data());
   std::vector<std::uint8_t> out(v.plain.size());
   for (std::size_t off = 0; off < v.plain.size(); off += 16) {
     enc.update(v.plain.data() + off, 16, out.data() + off);
@@ -66,13 +67,13 @@ TEST(Cbc, ChunkedUpdatesMatchOneShot) {
 
 TEST(Cbc, FinalPadsPkcs7) {
   Sp80038AF25 v;
-  CbcEncryptor enc(v.key.data(), v.iv.data());
+  CbcEncryptor enc(v.aes, v.iv.data());
   std::uint8_t out[16];
   const std::uint8_t tail[5] = {'h', 'e', 'l', 'l', 'o'};
   enc.final(tail, 5, out);
 
   // Decrypting must recover "hello" + 11 bytes of 0x0B.
-  CbcDecryptor dec(v.key.data(), v.iv.data());
+  CbcDecryptor dec(v.aes, v.iv.data());
   std::uint8_t plain[16];
   dec.update(out, 16, plain);
   EXPECT_EQ(std::memcmp(plain, tail, 5), 0);
@@ -82,10 +83,10 @@ TEST(Cbc, FinalPadsPkcs7) {
 
 TEST(Cbc, EmptyFinalIsFullPaddingBlock) {
   Sp80038AF25 v;
-  CbcEncryptor enc(v.key.data(), v.iv.data());
+  CbcEncryptor enc(v.aes, v.iv.data());
   std::uint8_t out[16];
   enc.final(nullptr, 0, out);
-  CbcDecryptor dec(v.key.data(), v.iv.data());
+  CbcDecryptor dec(v.aes, v.iv.data());
   std::uint8_t plain[16];
   dec.update(out, 16, plain);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(plain[i], 16);
@@ -143,7 +144,9 @@ TEST(Cbc, WrongKeyFailsPaddingWithHighProbability) {
   const auto cipher = cbc_encrypt(key, iv, data.data(), data.size());
   const auto back = cbc_decrypt(wrong, iv, cipher.data(), cipher.size());
   // Either padding check fails (empty) or the content differs.
-  if (!back.empty()) EXPECT_NE(back, data);
+  if (!back.empty()) {
+    EXPECT_NE(back, data);
+  }
 }
 
 TEST(Cbc, IdenticalPlaintextBlocksEncryptDifferently) {
@@ -152,6 +155,176 @@ TEST(Cbc, IdenticalPlaintextBlocksEncryptDifferently) {
   std::vector<std::uint8_t> data(32, 0x77);  // two identical blocks
   const auto cipher = cbc_encrypt(key, iv, data.data(), data.size());
   EXPECT_NE(std::memcmp(cipher.data(), cipher.data() + 16, 16), 0);
+}
+
+// --- The wide AES-NI path against per-block software chaining -------------
+
+// Reference CBC: one software block at a time, chained by hand.
+std::vector<std::uint8_t> ref_encrypt(const Aes256& aes,
+                                      const std::uint8_t iv[16],
+                                      const std::vector<std::uint8_t>& plain) {
+  std::vector<std::uint8_t> out(plain.size());
+  std::uint8_t chain[16];
+  std::memcpy(chain, iv, 16);
+  for (std::size_t off = 0; off < plain.size(); off += 16) {
+    std::uint8_t block[16];
+    for (std::size_t i = 0; i < 16; ++i) {
+      block[i] = static_cast<std::uint8_t>(plain[off + i] ^ chain[i]);
+    }
+    aes.encrypt_block_sw(block, out.data() + off);
+    std::memcpy(chain, out.data() + off, 16);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> ref_decrypt(
+    const Aes256& aes, const std::uint8_t iv[16],
+    const std::vector<std::uint8_t>& cipher) {
+  std::vector<std::uint8_t> out(cipher.size());
+  const std::uint8_t* chain = iv;
+  for (std::size_t off = 0; off < cipher.size(); off += 16) {
+    aes.decrypt_block_sw(cipher.data() + off, out.data() + off);
+    for (std::size_t i = 0; i < 16; ++i) out[off + i] ^= chain[i];
+    chain = cipher.data() + off;
+  }
+  return out;
+}
+
+struct DiffCase {
+  std::uint8_t key[32];
+  std::uint8_t iv[16];
+  std::vector<std::uint8_t> plain;
+
+  explicit DiffCase(std::size_t blocks) : plain(blocks * 16) {
+    std::mt19937 rng(static_cast<unsigned>(blocks) * 7919u + 17u);
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng());
+    for (auto& b : iv) b = static_cast<std::uint8_t>(rng());
+    for (auto& b : plain) b = static_cast<std::uint8_t>(rng());
+  }
+};
+
+// Block counts around the 8-wide group: below, at and across multiples of
+// 8, plus a 1 KB and a 4 KB sector.
+std::vector<std::size_t> diff_block_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t b = 0; b <= 33; ++b) counts.push_back(b);
+  counts.push_back(64);
+  counts.push_back(256);
+  return counts;
+}
+
+class CbcSoftware : public ::testing::TestWithParam<std::size_t> {};
+
+// The software CBC loops are the fallback without AES-NI: they must match
+// the hand-chained reference on every CPU.
+TEST_P(CbcSoftware, LoopsMatchPerBlockChaining) {
+  const DiffCase c(GetParam());
+  const Aes256 aes(c.key);
+  const auto want = ref_encrypt(aes, c.iv, c.plain);
+  std::vector<std::uint8_t> got(c.plain.size());
+  std::uint8_t iv[16];
+  std::memcpy(iv, c.iv, 16);
+  aes.cbc_encrypt_sw(iv, c.plain.data(), c.plain.size(), got.data());
+  EXPECT_EQ(got, want);
+
+  std::memcpy(iv, c.iv, 16);
+  aes.cbc_decrypt_sw(iv, want.data(), want.size(), got.data());
+  EXPECT_EQ(got, c.plain);
+  EXPECT_EQ(got, ref_decrypt(aes, c.iv, want));
+}
+
+INSTANTIATE_TEST_SUITE_P(Blocks, CbcSoftware,
+                         ::testing::ValuesIn(diff_block_counts()));
+
+class CbcWide : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (!Aes256::has_aesni()) {
+      GTEST_SKIP() << "CPU lacks AES-NI: only the software path runs here";
+    }
+  }
+};
+
+TEST_P(CbcWide, MatchesPerBlockSoftwareChaining) {
+  const DiffCase c(GetParam());
+  const Aes256 aes(c.key);
+  const auto want = ref_encrypt(aes, c.iv, c.plain);
+
+  CbcEncryptor enc(aes, c.iv);
+  std::vector<std::uint8_t> cipher(c.plain.size());
+  enc.update(c.plain.data(), c.plain.size(), cipher.data());
+  EXPECT_EQ(cipher, want);
+
+  CbcDecryptor dec(aes, c.iv);
+  std::vector<std::uint8_t> plain(cipher.size());
+  dec.update(cipher.data(), cipher.size(), plain.data());
+  EXPECT_EQ(plain, c.plain);
+  EXPECT_EQ(plain, ref_decrypt(aes, c.iv, cipher));
+}
+
+// Two updates split at every block offset: the running IV must carry across
+// a boundary that is not a multiple of the 8-block group.
+TEST_P(CbcWide, SplitUpdatesCarryTheIvAtEveryBlockOffset) {
+  const DiffCase c(GetParam());
+  const Aes256 aes(c.key);
+  const auto want = ref_encrypt(aes, c.iv, c.plain);
+  const std::size_t n = c.plain.size();
+  for (std::size_t split = 0; split <= n; split += 16) {
+    CbcEncryptor enc(aes, c.iv);
+    std::vector<std::uint8_t> cipher(n);
+    enc.update(c.plain.data(), split, cipher.data());
+    enc.update(c.plain.data() + split, n - split, cipher.data() + split);
+    EXPECT_EQ(cipher, want) << "split at byte " << split;
+
+    CbcDecryptor dec(aes, c.iv);
+    std::vector<std::uint8_t> plain(n);
+    dec.update(want.data(), split, plain.data());
+    dec.update(want.data() + split, n - split, plain.data() + split);
+    EXPECT_EQ(plain, c.plain) << "split at byte " << split;
+  }
+}
+
+TEST_P(CbcWide, InPlaceMatchesOutOfPlace) {
+  const DiffCase c(GetParam());
+  const Aes256 aes(c.key);
+  const auto want = ref_encrypt(aes, c.iv, c.plain);
+
+  std::vector<std::uint8_t> buf = c.plain;
+  CbcEncryptor enc(aes, c.iv);
+  enc.update(buf.data(), buf.size(), buf.data());
+  EXPECT_EQ(buf, want);
+
+  CbcDecryptor dec(aes, c.iv);
+  dec.update(buf.data(), buf.size(), buf.data());
+  EXPECT_EQ(buf, c.plain);
+}
+
+INSTANTIATE_TEST_SUITE_P(Blocks, CbcWide,
+                         ::testing::ValuesIn(diff_block_counts()));
+
+TEST(Cbc, NistSp80038AVectorThroughBothPaths) {
+  Sp80038AF25 v;
+  std::vector<std::uint8_t> out(v.plain.size());
+  std::uint8_t iv[16];
+
+  std::memcpy(iv, v.iv.data(), 16);
+  v.aes.cbc_encrypt_sw(iv, v.plain.data(), v.plain.size(), out.data());
+  EXPECT_EQ(out, v.cipher);
+  std::memcpy(iv, v.iv.data(), 16);
+  v.aes.cbc_decrypt_sw(iv, v.cipher.data(), v.cipher.size(), out.data());
+  EXPECT_EQ(out, v.plain);
+
+  if (!Aes256::has_aesni()) {
+    GTEST_SKIP() << "CPU lacks AES-NI: software path checked only";
+  }
+  std::memcpy(iv, v.iv.data(), 16);
+  v.aes.cbc_encrypt(iv, v.plain.data(), v.plain.size(), out.data());
+  EXPECT_EQ(out, v.cipher);
+  std::memcpy(iv, v.iv.data(), 16);
+  v.aes.cbc_decrypt(iv, v.cipher.data(), v.cipher.size(), out.data());
+  EXPECT_EQ(out, v.plain);
+  // The running IV ends on the last ciphertext block.
+  EXPECT_EQ(std::memcmp(iv, v.cipher.data() + v.cipher.size() - 16, 16), 0);
 }
 
 }  // namespace

@@ -134,6 +134,13 @@ TEST_F(ZcWorkerTest, ResumeAfterPauseServesAgain) {
   worker_->start();
   worker_->command(SchedCmd::kPause);
   ASSERT_TRUE(wait_state(WorkerState::kPaused));
+  // kPaused is set before the worker takes its park mutex: resume only
+  // once it is about to wait, so the resume must count a wakeup.
+  const auto deadline = std::chrono::steady_clock::now() + 2000ms;
+  while (worker_->parks() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
   worker_->command(SchedCmd::kRun);
   ASSERT_TRUE(wait_state(WorkerState::kUnused));
   EXPECT_GE(stats_.worker_wakeups.load(), 1u);
