@@ -7,7 +7,9 @@
 // notify_batch; lane=gate_batch), pipelined concurrent callers through
 // the batched plane with and without coalesced flush wakes
 // (BM_BatchedPipelined: p50/p99; lane=batched_pipelined), the two
-// tlibc memcpy implementations, and the in-enclave cipher on its own
+// tlibc memcpy implementations, the copy stage of one call on its own
+// (BM_MarshalRoundTrip: marshal_into + unmarshal_from per memcpy kind and
+// payload size; lane=marshal), and the in-enclave cipher on its own
 // (BM_CbcSector: one 4 KB AES-256-CBC sector each way, key schedule per
 // sector vs cached; lane=cipher).
 //
@@ -52,6 +54,7 @@
 #include "core/backend_registry.hpp"
 #include "core/zc_async.hpp"
 #include "sgx/enclave.hpp"
+#include "sgx/marshal.hpp"
 #include "tlibc/memcpy.hpp"
 #include "workload/harness.hpp"
 #include "workload/synthetic.hpp"
@@ -136,6 +139,19 @@ struct CipherRow {
 };
 std::map<std::string, CipherRow>& cipher_rows() {
   static std::map<std::string, CipherRow> rows;
+  return rows;
+}
+
+// --json rows of the BM_MarshalRoundTrip lane: one call's copy stage.
+struct MarshalRow {
+  std::string kind;  ///< tlibc::to_string(MemcpyKind)
+  std::uint64_t bytes = 0;
+  std::uint64_t nt_threshold = 0;  ///< auto-streaming threshold in force
+  std::uint64_t iterations = 0;
+  double seconds = 0;
+};
+std::map<std::string, MarshalRow>& marshal_rows() {
+  static std::map<std::string, MarshalRow> rows;
   return rows;
 }
 
@@ -245,15 +261,70 @@ void BM_Memcpy(benchmark::State& state) {
   state.SetLabel(std::string(use_zc ? "zc" : "intel") +
                  (misalign ? "/unaligned" : "/aligned"));
 }
-BENCHMARK(BM_Memcpy)
-    ->Args({0, 512, 0})
-    ->Args({0, 512, 1})
-    ->Args({0, 32768, 0})
-    ->Args({0, 32768, 1})
-    ->Args({1, 512, 0})
-    ->Args({1, 512, 1})
-    ->Args({1, 32768, 0})
-    ->Args({1, 32768, 1});
+// 8 and 24 B are argument structs and kv_store's keys and values (zc's
+// short-copy path); 128 KB is one bulk_io chunk.
+BENCHMARK(BM_Memcpy)->ArgsProduct(
+    {{0, 1}, {8, 24, 512, 32768, 128 * 1024}, {0, 1}});
+
+// The copy stage of one call on its own: one marshal_into (args + [in]
+// payload into the untrusted frame) and one unmarshal_from (args + [out]
+// payload back) per iteration, through the active memcpy kind
+// (range(0) = 0 intel, 1 zc, 2 zc_nt), `range(1)` payload bytes each way.
+// range(2) = 1 turns off zc's auto-streaming route (threshold 0), so the
+// 1 MB zc cell prices the non-temporal copy against plain rep movsb.
+// JSONL rows: lane=marshal.
+void BM_MarshalRoundTrip(benchmark::State& state) {
+  static constexpr tlibc::MemcpyKind kKinds[] = {
+      tlibc::MemcpyKind::kIntel, tlibc::MemcpyKind::kZc,
+      tlibc::MemcpyKind::kZcNt};
+  const tlibc::MemcpyKind kind = kKinds[state.range(0)];
+  const std::size_t bytes = static_cast<std::size_t>(state.range(1));
+  const bool nt_off = state.range(2) != 0;
+  const tlibc::ScopedMemcpy guard(kind);
+  const std::size_t saved_threshold = tlibc::memcpy_nt_threshold();
+  if (nt_off) tlibc::set_memcpy_nt_threshold(0);
+
+  struct Args {
+    std::uint64_t a = 1;
+    std::uint64_t b = 2;
+  } args;
+  std::vector<std::uint8_t> in(bytes, 0x5A);
+  std::vector<std::uint8_t> out(bytes, 0);
+  CallDesc desc;
+  desc.args = &args;
+  desc.args_size = sizeof(args);
+  desc.in_payload = in.data();
+  desc.in_size = bytes;
+  desc.out_payload = out.data();
+  desc.out_size = bytes;
+  std::vector<std::byte> frame(frame_bytes(desc));
+
+  const std::uint64_t t0 = wall_ns();
+  for (auto _ : state) {
+    const MarshalledCall call = marshal_into(frame.data(), desc);
+    unmarshal_from(call, desc);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const double seconds = static_cast<double>(wall_ns() - t0) * 1e-9;
+  MarshalRow row;
+  row.kind = tlibc::to_string(kind);
+  row.bytes = bytes;
+  row.nt_threshold = tlibc::memcpy_nt_threshold();
+  row.iterations = static_cast<std::uint64_t>(state.iterations());
+  row.seconds = seconds;
+  tlibc::set_memcpy_nt_threshold(saved_threshold);
+
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * bytes));
+  const std::string label =
+      row.kind + "/" + std::to_string(bytes) + (nt_off ? "/nt_off" : "");
+  state.SetLabel(label);
+  marshal_rows()[label] = row;
+}
+BENCHMARK(BM_MarshalRoundTrip)
+    ->ArgsProduct({{0, 1, 2}, {8, 4096, 128 * 1024, 1 << 20}, {0}})
+    ->Args({1, 1 << 20, 1});
 
 // The batched caller's wait policy head to head: spin_us=0 yields between
 // every poll; a large budget approximates hotcalls-style pure spinning.
@@ -836,6 +907,23 @@ int main(int argc, char** argv) {
                  .set("iterations", row.iterations)
                  .set("seconds", row.seconds)
                  .set("ns_per_sector", per_sector * 1e9)
+                 .str()
+          << '\n';
+    }
+    for (const auto& [key, row] : marshal_rows()) {
+      const double per_trip =
+          row.iterations > 0
+              ? row.seconds / static_cast<double>(row.iterations)
+              : 0.0;
+      out << zc::bench::JsonRow()
+                 .set("figure", "micro_callpath")
+                 .set("lane", "marshal")
+                 .set("kind", row.kind)
+                 .set("bytes", row.bytes)
+                 .set("nt_threshold", row.nt_threshold)
+                 .set("iterations", row.iterations)
+                 .set("seconds", row.seconds)
+                 .set("ns_per_round_trip", per_trip * 1e9)
                  .str()
           << '\n';
     }

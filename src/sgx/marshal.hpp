@@ -5,7 +5,9 @@
 // struct (return values) and any [out] buffer back after the call.  All of
 // these copies go through tlibc's *active* memcpy, so the memcpy
 // implementation choice (intel vs zc vs zc_nt) affects ocall throughput
-// exactly as in the paper (Figs. 7 and 13).
+// exactly as in the paper (Figs. 7 and 13).  The default is the paper's
+// `zc_memcpy` (`rep movsb`, with a short-copy path for <= 64 B); the SDK's
+// `intel_memcpy` is the baseline a bench selects through ScopedMemcpy.
 //
 // Two data-plane generalizations layer on top of the classic double-copy
 // scheme:

@@ -10,7 +10,9 @@
 // Both algorithms are reproduced here, plus a process-wide *active* memcpy
 // switch: all cross-boundary marshalling in the simulated SGX substrate goes
 // through `active_memcpy`, so the memcpy choice affects every ocall exactly
-// as it does in the SDK.
+// as it does in the SDK.  The shipped default is `zc_memcpy` (kZc), the
+// paper's copy; `intel_memcpy` (kIntel) is the SDK baseline that benches
+// and differential tests select explicitly through ScopedMemcpy.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +24,13 @@ namespace zc::tlibc {
 /// Handles overlap like BSD bcopy (copies backwards when dst > src).
 void* intel_memcpy(void* dst, const void* src, std::size_t n) noexcept;
 
-/// ZC-Switchless optimised memcpy (paper Listing 1): a single `rep movsb`.
-/// On non-x86 builds this degrades to __builtin_memcpy.
+/// ZC-Switchless optimised memcpy (paper Listing 1): a single `rep movsb`
+/// for forward copies longer than 64 bytes.  Copies of at most 64 bytes
+/// (argument structs, small keys and values: most copies by count) take a
+/// short path of overlapping unaligned 4/8/16-byte moves instead, where
+/// `rep movsb`'s start-up cost would make it slower than the SDK loop.
+/// Memmove-safe: longer overlapping copies with dst > src run backwards.
+/// On non-x86 builds this degrades to __builtin_memmove.
 void* zc_memcpy(void* dst, const void* src, std::size_t n) noexcept;
 
 /// Non-temporal streaming copy for large payloads: 16-byte SSE2 loads +
@@ -38,13 +45,13 @@ int tmemcmp(const void* a, const void* b, std::size_t n) noexcept;
 
 /// Which implementation the marshalling layer uses.
 enum class MemcpyKind {
-  kIntel,  ///< vanilla SDK algorithm (paper's baseline)
-  kZc,     ///< rep-movsb optimised version (paper's contribution)
+  kIntel,  ///< vanilla SDK algorithm (paper's baseline; opt-in)
+  kZc,     ///< rep-movsb optimised version (paper's contribution; default)
   kZcNt,   ///< always-streaming variant (non-temporal stores)
 };
 
-/// Selects the process-wide active memcpy. Thread-safe; takes effect for
-/// subsequent copies.
+/// Selects the process-wide active memcpy (default kZc). Thread-safe;
+/// takes effect for subsequent copies.
 void set_active_memcpy(MemcpyKind kind) noexcept;
 
 /// Currently selected implementation.

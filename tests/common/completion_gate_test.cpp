@@ -88,7 +88,9 @@ TEST(CompletionGateTest, YieldPolicyCountsYields) {
         g.word, [](std::uint32_t v) { return v == 1; },
         GateWaitPolicy::kYield, kNoSpin, g.counters());
   });
-  std::this_thread::sleep_for(2ms);
+  // Publish only once the waiter has polled and yielded at least once, so
+  // a late-starting waiter cannot find the word already set.
+  while (g.stats.caller_yields.load() == 0) std::this_thread::yield();
   g.word.store(1, std::memory_order_seq_cst);
   // Yielding waiters poll; no notify required.
   waiter.join();

@@ -435,7 +435,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllBackendsAndMemcpys, BackendEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(all_backend_specs()),
                        ::testing::Values(tlibc::MemcpyKind::kIntel,
-                                         tlibc::MemcpyKind::kZc)),
+                                         tlibc::MemcpyKind::kZc,
+                                         tlibc::MemcpyKind::kZcNt)),
     [](const auto& info) {
       // Spec strings carry ':=;,' — flatten to a valid gtest name.
       std::string name = std::get<0>(info.param) + "_" +

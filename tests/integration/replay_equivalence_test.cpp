@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/backend_registry.hpp"
+#include "tlibc/memcpy.hpp"
 #include "workload/replay.hpp"
 #include "workload/trace.hpp"
 
@@ -113,6 +114,25 @@ TEST(ReplayEquivalence, IdenticalDigestsAcrossTheWholeLattice) {
       continue;
     }
     EXPECT_EQ(r.result_digest, baseline.result_digest);
+  }
+}
+
+TEST(ReplayEquivalence, IdenticalDigestsUnderEveryMemcpyKind) {
+  // The memcpy that marshals each call is invisible to the caller: the
+  // default zc copy, the SDK baseline and the streaming kind agree.
+  const Trace trace = golden();
+  const std::uint64_t expected =
+      replay_trace(trace, replay_config("no_sl")).result_digest;
+  for (const tlibc::MemcpyKind kind :
+       {tlibc::MemcpyKind::kIntel, tlibc::MemcpyKind::kZc,
+        tlibc::MemcpyKind::kZcNt}) {
+    const tlibc::ScopedMemcpy guard(kind);
+    for (const std::string& spec : {std::string("no_sl"), replay_spec("zc")}) {
+      SCOPED_TRACE(spec + " memcpy=" + tlibc::to_string(kind));
+      const ReplayResult r = replay_trace(trace, replay_config(spec));
+      EXPECT_EQ(r.calls, kGoldenCalls);
+      EXPECT_EQ(r.result_digest, expected);
+    }
   }
 }
 

@@ -379,7 +379,7 @@ TEST(MarshalSingleCopy, DoubleCopyDescriptorElidesNothing) {
 
 class MarshalMemcpyKind : public ::testing::TestWithParam<tlibc::MemcpyKind> {};
 
-TEST_P(MarshalMemcpyKind, RoundTripIdenticalUnderBothMemcpys) {
+TEST_P(MarshalMemcpyKind, RoundTripIdenticalUnderEveryMemcpy) {
   tlibc::ScopedMemcpy guard(GetParam());
   DemoArgs args;
   args.x = -5;
@@ -402,9 +402,10 @@ TEST_P(MarshalMemcpyKind, RoundTripIdenticalUnderBothMemcpys) {
   EXPECT_EQ(out, in);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothKinds, MarshalMemcpyKind,
+INSTANTIATE_TEST_SUITE_P(AllKinds, MarshalMemcpyKind,
                          ::testing::Values(tlibc::MemcpyKind::kIntel,
-                                           tlibc::MemcpyKind::kZc),
+                                           tlibc::MemcpyKind::kZc,
+                                           tlibc::MemcpyKind::kZcNt),
                          [](const auto& info) {
                            return std::string(tlibc::to_string(info.param));
                          });

@@ -4,6 +4,7 @@
 
 #include "common/cycles.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <tuple>
@@ -13,6 +14,11 @@ namespace zc::tlibc {
 namespace {
 
 using CopyFn = void* (*)(void*, const void*, std::size_t) noexcept;
+
+// The process-wide kind as the library ships it, read during static
+// initialisation, before any test can select another one.  g_active is
+// constant-initialised, so this read cannot see an unset value.
+const MemcpyKind kStartupKind = active_memcpy_kind();
 
 // Parameterized over (implementation, size, src offset, dst offset): both
 // implementations must match libc memcpy for every alignment combination —
@@ -62,6 +68,67 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param)) + "_d" +
              std::to_string(std::get<3>(info.param));
     });
+
+// zc_memcpy against std::memcpy over every size of the short-copy path and
+// both sides of its 64-byte boundary, the rep-movsb sizes around a cache
+// line and a page, and one 128 KiB bulk chunk — each at every src/dst
+// misalignment 0-15, with guard bytes on both sides to catch overruns.
+TEST(ZcMemcpySweep, MatchesMemcpyAtEverySizeAndOffset) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 80; ++n) sizes.push_back(n);
+  for (const std::size_t n : {127u, 128u, 129u, 4095u, 4096u, 4097u,
+                              128u * 1024u}) {
+    sizes.push_back(n);
+  }
+  constexpr std::size_t kGuard = 32;
+  constexpr std::size_t kMaxOff = 16;
+  std::mt19937 rng(7);
+  for (const std::size_t n : sizes) {
+    std::vector<std::uint8_t> src(n + kMaxOff);
+    for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+    std::vector<std::uint8_t> dst(kGuard + kMaxOff + n + kGuard);
+    std::vector<std::uint8_t> expect(dst.size());
+    for (std::size_t src_off = 0; src_off < kMaxOff; ++src_off) {
+      for (std::size_t dst_off = 0; dst_off < kMaxOff; ++dst_off) {
+        std::fill(dst.begin(), dst.end(), std::uint8_t{0xEE});
+        std::fill(expect.begin(), expect.end(), std::uint8_t{0xEE});
+        std::uint8_t* d = dst.data() + kGuard + dst_off;
+        void* ret = zc_memcpy(d, src.data() + src_off, n);
+        std::memcpy(expect.data() + kGuard + dst_off, src.data() + src_off, n);
+        ASSERT_EQ(ret, d) << "n=" << n;
+        ASSERT_TRUE(dst == expect)
+            << "n=" << n << " src_off=" << src_off << " dst_off=" << dst_off;
+      }
+    }
+  }
+}
+
+// Overlapping copies in both directions, every shift, checked against
+// std::memmove: the short path must load everything before it stores,
+// and longer copies must pick the right rep-movsb direction.
+TEST(ZcMemcpySweep, OverlapMatchesMemmoveBothDirections) {
+  constexpr std::size_t kBuf = 256;
+  std::vector<std::uint8_t> init(kBuf);
+  for (std::size_t i = 0; i < kBuf; ++i) {
+    init[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  for (std::size_t n = 1; n <= 80; ++n) {
+    for (std::size_t shift = 1; shift <= n; ++shift) {
+      for (const bool forward : {true, false}) {
+        // forward: dst = src + shift (dst above src); else dst below src.
+        const std::size_t lo = 40;
+        const std::size_t src_at = forward ? lo : lo + shift;
+        const std::size_t dst_at = forward ? lo + shift : lo;
+        std::vector<std::uint8_t> buf(init);
+        std::vector<std::uint8_t> expect(init);
+        zc_memcpy(buf.data() + dst_at, buf.data() + src_at, n);
+        std::memmove(expect.data() + dst_at, expect.data() + src_at, n);
+        ASSERT_TRUE(buf == expect) << "n=" << n << " shift=" << shift
+                                   << (forward ? " dst>src" : " dst<src");
+      }
+    }
+  }
+}
 
 class MemcpyOverlap : public ::testing::TestWithParam<int> {
  protected:
@@ -143,29 +210,31 @@ TEST(Tmemcmp, OrdersLikeLibc) {
   EXPECT_EQ(tmemcmp(a, b, 0), 0);
 }
 
-TEST(ActiveMemcpy, DefaultIsIntel) {
-  // Tests may run in any order; normalise first.
-  set_active_memcpy(MemcpyKind::kIntel);
-  EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kIntel);
+TEST(ActiveMemcpy, DefaultIsZc) {
+  // The paper's copy is what ships; the SDK copy is opt-in.
+  EXPECT_EQ(kStartupKind, MemcpyKind::kZc);
 }
 
 TEST(ActiveMemcpy, SwitchTakesEffect) {
-  set_active_memcpy(MemcpyKind::kZc);
-  EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kZc);
+  const MemcpyKind before = active_memcpy_kind();
+  set_active_memcpy(MemcpyKind::kIntel);
+  EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kIntel);
   std::uint8_t src[16] = {1, 2, 3};
   std::uint8_t dst[16] = {};
   active_memcpy(dst, src, sizeof(src));
   EXPECT_EQ(std::memcmp(dst, src, sizeof(src)), 0);
-  set_active_memcpy(MemcpyKind::kIntel);
+  set_active_memcpy(before);
 }
 
 TEST(ActiveMemcpy, ScopedGuardRestores) {
-  set_active_memcpy(MemcpyKind::kIntel);
+  const MemcpyKind before = active_memcpy_kind();
+  set_active_memcpy(MemcpyKind::kZc);
   {
-    ScopedMemcpy guard(MemcpyKind::kZc);
-    EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kZc);
+    ScopedMemcpy guard(MemcpyKind::kIntel);
+    EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kIntel);
   }
-  EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kIntel);
+  EXPECT_EQ(active_memcpy_kind(), MemcpyKind::kZc);
+  set_active_memcpy(before);
 }
 
 TEST(ActiveMemcpy, Names) {
