@@ -261,8 +261,8 @@ void BM_Memcpy(benchmark::State& state) {
   state.SetLabel(std::string(use_zc ? "zc" : "intel") +
                  (misalign ? "/unaligned" : "/aligned"));
 }
-// 8 and 24 B are argument structs and kv_store's keys and values (zc's
-// short-copy path); 128 KB is one bulk_io chunk.
+// 8 and 24 B are argument structs and kv_store's keys and values; 128 KB
+// is one bulk_io chunk.
 BENCHMARK(BM_Memcpy)->ArgsProduct(
     {{0, 1}, {8, 24, 512, 32768, 128 * 1024}, {0, 1}});
 
@@ -270,8 +270,8 @@ BENCHMARK(BM_Memcpy)->ArgsProduct(
 // payload into the untrusted frame) and one unmarshal_from (args + [out]
 // payload back) per iteration, through the active memcpy kind
 // (range(0) = 0 intel, 1 zc, 2 zc_nt), `range(1)` payload bytes each way.
-// range(2) = 1 turns off zc's auto-streaming route (threshold 0), so the
-// 1 MB zc cell prices the non-temporal copy against plain rep movsb.
+// range(2) = 1 turns on zc's opt-in auto-streaming route at 256 KB, so the
+// extra 1 MB zc cell prices the non-temporal copy against plain rep movsb.
 // JSONL rows: lane=marshal.
 void BM_MarshalRoundTrip(benchmark::State& state) {
   static constexpr tlibc::MemcpyKind kKinds[] = {
@@ -279,10 +279,10 @@ void BM_MarshalRoundTrip(benchmark::State& state) {
       tlibc::MemcpyKind::kZcNt};
   const tlibc::MemcpyKind kind = kKinds[state.range(0)];
   const std::size_t bytes = static_cast<std::size_t>(state.range(1));
-  const bool nt_off = state.range(2) != 0;
+  const bool nt_auto = state.range(2) != 0;
   const tlibc::ScopedMemcpy guard(kind);
   const std::size_t saved_threshold = tlibc::memcpy_nt_threshold();
-  if (nt_off) tlibc::set_memcpy_nt_threshold(0);
+  tlibc::set_memcpy_nt_threshold(nt_auto ? 256 * 1024 : 0);
 
   struct Args {
     std::uint64_t a = 1;
@@ -318,7 +318,7 @@ void BM_MarshalRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * bytes));
   const std::string label =
-      row.kind + "/" + std::to_string(bytes) + (nt_off ? "/nt_off" : "");
+      row.kind + "/" + std::to_string(bytes) + (nt_auto ? "/nt_auto" : "");
   state.SetLabel(label);
   marshal_rows()[label] = row;
 }

@@ -6,8 +6,8 @@
 // these copies go through tlibc's *active* memcpy, so the memcpy
 // implementation choice (intel vs zc vs zc_nt) affects ocall throughput
 // exactly as in the paper (Figs. 7 and 13).  The default is the paper's
-// `zc_memcpy` (`rep movsb`, with a short-copy path for <= 64 B); the SDK's
-// `intel_memcpy` is the baseline a bench selects through ScopedMemcpy.
+// `zc_memcpy` (`rep movsb`); the SDK's `intel_memcpy` is the baseline a
+// bench selects through ScopedMemcpy.
 //
 // Two data-plane generalizations layer on top of the classic double-copy
 // scheme:

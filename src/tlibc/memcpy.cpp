@@ -2,10 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>  // SSE2: unaligned 16 B moves, _mm_stream_si128, _mm_sfence
+#include <emmintrin.h>  // SSE2: _mm_stream_si128 / _mm_sfence
 #endif
 
 namespace zc::tlibc {
@@ -15,66 +14,12 @@ using word = std::uintptr_t;
 constexpr std::size_t kWordSize = sizeof(word);
 constexpr std::size_t kWordMask = kWordSize - 1;
 
-constexpr std::size_t kDefaultNtThreshold = 256 * 1024;
-constexpr std::size_t kShortCopyMax = 64;
+// Auto-streaming is opt-in: streamed bytes a caller reads straight back
+// come from memory, which makes a marshal round trip slower, not faster.
+constexpr std::size_t kDefaultNtThreshold = 0;
 
 std::atomic<MemcpyKind> g_active{MemcpyKind::kZc};
 std::atomic<std::size_t> g_nt_threshold{kDefaultNtThreshold};
-
-#if defined(__x86_64__) || defined(_M_X64)
-template <typename T>
-T load(const unsigned char* p) noexcept {
-  T v{};
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-template <typename T>
-void store(unsigned char* p, T v) noexcept {
-  std::memcpy(p, &v, sizeof(T));
-}
-
-// Copies n <= kShortCopyMax bytes as two (or four) overlapping unaligned
-// moves of the widest size that fits: the head and the tail of the range,
-// which together cover it.  Every load happens before any store, so the
-// copy is memmove-safe in both directions.  `rep movsb` has a start-up
-// cost of several ns that dominates copies this small.
-void short_copy(unsigned char* d, const unsigned char* s,
-                std::size_t n) noexcept {
-  if (n >= 16) {
-    const __m128i head = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));
-    const __m128i tail =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + n - 16));
-    if (n > 32) {
-      const __m128i head2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + 16));
-      const __m128i tail2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + n - 32));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(d + 16), head2);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(d + n - 32), tail2);
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d), head);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + n - 16), tail);
-  } else if (n >= 8) {
-    const auto head = load<std::uint64_t>(s);
-    const auto tail = load<std::uint64_t>(s + n - 8);
-    store(d, head);
-    store(d + n - 8, tail);
-  } else if (n >= 4) {
-    const auto head = load<std::uint32_t>(s);
-    const auto tail = load<std::uint32_t>(s + n - 4);
-    store(d, head);
-    store(d + n - 4, tail);
-  } else if (n != 0) {
-    const unsigned char first = s[0];
-    const unsigned char mid = s[n / 2];
-    const unsigned char last = s[n - 1];
-    d[0] = first;
-    d[n / 2] = mid;
-    d[n - 1] = last;
-  }
-}
-#endif
 
 }  // namespace
 
@@ -139,11 +84,7 @@ void* zc_memcpy(void* dst0, const void* src0, std::size_t length) noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
   void* dst = dst0;
   const void* src = src0;
-  if (length <= kShortCopyMax) {
-    short_copy(static_cast<unsigned char*>(dst0),
-               static_cast<const unsigned char*>(src0), length);
-    return dst0;
-  }
+  if (length == 0) return dst0;
   if (dst0 <= src0 ||
       static_cast<const char*>(src0) + length <= static_cast<char*>(dst0)) {
     // Paper Listing 1: forward copy with the hardware string instruction.

@@ -24,12 +24,8 @@ namespace zc::tlibc {
 /// Handles overlap like BSD bcopy (copies backwards when dst > src).
 void* intel_memcpy(void* dst, const void* src, std::size_t n) noexcept;
 
-/// ZC-Switchless optimised memcpy (paper Listing 1): a single `rep movsb`
-/// for forward copies longer than 64 bytes.  Copies of at most 64 bytes
-/// (argument structs, small keys and values: most copies by count) take a
-/// short path of overlapping unaligned 4/8/16-byte moves instead, where
-/// `rep movsb`'s start-up cost would make it slower than the SDK loop.
-/// Memmove-safe: longer overlapping copies with dst > src run backwards.
+/// ZC-Switchless optimised memcpy (paper Listing 1): a single `rep movsb`.
+/// Memmove-safe: overlapping copies with dst > src run backwards.
 /// On non-x86 builds this degrades to __builtin_memmove.
 void* zc_memcpy(void* dst, const void* src, std::size_t n) noexcept;
 
@@ -64,12 +60,13 @@ void* active_memcpy(void* dst, const void* src, std::size_t n) noexcept;
 const char* to_string(MemcpyKind kind) noexcept;
 
 /// Copies of at least this many bytes through the kZc active kind are
-/// routed to the non-temporal variant automatically (large sectors should
-/// not thrash the cache even when the caller selected plain "zc").
-/// 0 disables auto-routing.  Thread-safe; takes effect for later copies.
+/// routed to the non-temporal variant automatically, for callers that do
+/// not read a large copy back soon and want to spare the cache.
+/// 0 (the default) disables auto-routing.  Thread-safe; takes effect for
+/// later copies.
 void set_memcpy_nt_threshold(std::size_t bytes) noexcept;
 
-/// Current auto-streaming threshold (default 256 KB; 0 = off).
+/// Current auto-streaming threshold (default 0 = off).
 std::size_t memcpy_nt_threshold() noexcept;
 
 /// RAII guard that selects a memcpy kind and restores the previous one.
