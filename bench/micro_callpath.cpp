@@ -9,7 +9,9 @@
 // (BM_BatchedPipelined: p50/p99; lane=batched_pipelined), the two
 // tlibc memcpy implementations, the copy stage of one call on its own
 // (BM_MarshalRoundTrip: marshal_into + unmarshal_from per memcpy kind and
-// payload size; lane=marshal), and the in-enclave cipher on its own
+// payload size; lane=marshal), the zc hand-off with one and two callers
+// (BM_ZcSwitchless: ns per call and caller; lane=handoff), and the
+// in-enclave cipher on its own
 // (BM_CbcSector: one 4 KB AES-256-CBC sector each way, key schedule per
 // sector vs cached; lane=cipher).
 //
@@ -155,6 +157,19 @@ std::map<std::string, MarshalRow>& marshal_rows() {
   return rows;
 }
 
+// --json rows of the BM_ZcSwitchless lane: one no-op zc hand-off.
+struct HandoffRow {
+  unsigned callers = 0;
+  std::uint64_t calls = 0;  ///< all callers together
+  double seconds = 0;
+  std::uint64_t switchless = 0;
+  std::uint64_t fallbacks = 0;
+};
+std::map<unsigned, HandoffRow>& handoff_rows() {
+  static std::map<unsigned, HandoffRow> rows;
+  return rows;
+}
+
 unsigned g_pipeline = 1;
 workload::CallerSkew g_skew = workload::CallerSkew::kUniform;
 std::uint64_t g_seed = 0;  ///< --seed=N; 0 draws fresh (reported per row)
@@ -198,15 +213,37 @@ void BM_RegularOcall(benchmark::State& state) {
 }
 BENCHMARK(BM_RegularOcall)->Arg(0)->Arg(13'500);
 
+// The switchless hand-off: each of state.threads() callers issues no-op
+// ocalls through zc:scheduler=off with one worker per caller, so a call
+// always finds an idle worker unless the callers collide on one.  Thread 0
+// builds and tears down the shared fixture; the loop's start and stop
+// barriers order that against the other callers.  JSONL rows:
+// lane=handoff.
 void BM_ZcSwitchless(benchmark::State& state) {
-  Fixture f;
-  install_backend_spec(*f.enclave, "zc:scheduler=off,workers=1");
+  static std::unique_ptr<Fixture> f;
+  const auto callers = static_cast<unsigned>(state.threads());
+  if (state.thread_index() == 0) {
+    f = std::make_unique<Fixture>();
+    install_backend_spec(*f->enclave, "zc:scheduler=off,workers=" +
+                                          std::to_string(callers));
+  }
+  const std::uint64_t t0 = wall_ns();
   NopArgs args;
   for (auto _ : state) {
-    f.enclave->ocall(f.nop_id, args);
+    f->enclave->ocall(f->nop_id, args);
   }
+  if (state.thread_index() != 0) return;
+  HandoffRow row;
+  row.callers = callers;
+  row.calls = static_cast<std::uint64_t>(state.iterations()) * callers;
+  row.seconds = static_cast<double>(wall_ns() - t0) * 1e-9;
+  const BackendStats& bs = f->enclave->backend().stats();
+  row.switchless = bs.switchless_calls.load();
+  row.fallbacks = bs.fallback_calls.load();
+  handoff_rows()[callers] = row;
+  f.reset();
 }
-BENCHMARK(BM_ZcSwitchless);
+BENCHMARK(BM_ZcSwitchless)->Threads(1)->Threads(2)->UseRealTime();
 
 void BM_ZcImmediateFallback(benchmark::State& state) {
   Fixture f;
@@ -924,6 +961,26 @@ int main(int argc, char** argv) {
                  .set("iterations", row.iterations)
                  .set("seconds", row.seconds)
                  .set("ns_per_round_trip", per_trip * 1e9)
+                 .str()
+          << '\n';
+    }
+    for (const auto& [key, row] : handoff_rows()) {
+      // Per call and caller: the latency one caller sees.
+      const double per_call =
+          row.calls > 0 ? row.seconds * row.callers /
+                              static_cast<double>(row.calls)
+                        : 0.0;
+      out << zc::bench::JsonRow()
+                 .set("figure", "micro_callpath")
+                 .set("lane", "handoff")
+                 .set("backend", "zc:scheduler=off,workers=" +
+                                     std::to_string(row.callers))
+                 .set("callers", static_cast<std::uint64_t>(row.callers))
+                 .set("calls", row.calls)
+                 .set("seconds", row.seconds)
+                 .set("ns_per_call", per_call * 1e9)
+                 .set("switchless", row.switchless)
+                 .set("fallbacks", row.fallbacks)
                  .str()
           << '\n';
     }

@@ -1,5 +1,7 @@
 #include "core/worker.hpp"
 
+#include <utility>
+
 #include "common/cycles.hpp"
 #include "common/pin.hpp"
 #include "sgx/marshal.hpp"
@@ -45,7 +47,22 @@ void ZcWorker::shutdown() {
   thread_.join();
 }
 
+WorkerState ZcWorker::state() const noexcept {
+  const WorkerState s = status_.load(std::memory_order_acquire);
+  if (s != WorkerState::kReserved ||
+      !submitted_.load(std::memory_order_acquire)) {
+    return s;
+  }
+  return bell_.load(std::memory_order_acquire) ==
+                 done_.load(std::memory_order_acquire)
+             ? WorkerState::kWaiting
+             : WorkerState::kProcessing;
+}
+
 bool ZcWorker::try_reserve() noexcept {
+  if (status_.load(std::memory_order_relaxed) != WorkerState::kUnused) {
+    return false;
+  }
   WorkerState expected = WorkerState::kUnused;
   return status_.compare_exchange_strong(expected, WorkerState::kReserved,
                                          std::memory_order_acquire,
@@ -69,22 +86,29 @@ void* ZcWorker::alloc_frame(std::size_t bytes) {
 
 void ZcWorker::submit(void* frame) noexcept {
   request_ = frame;
-  status_.store(WorkerState::kProcessing, std::memory_order_release);
+  bell_.store(bell_.load(std::memory_order_relaxed) + 1,
+              std::memory_order_release);
+  // After the bell, so a state() that sees the flag also sees the bell.
+  submitted_.store(true, std::memory_order_release);
 }
 
-void ZcWorker::wait_done() noexcept {
+std::exception_ptr ZcWorker::wait_done() noexcept {
   // The gate runs the paper's pure completion spin while the budget lasts
   // — the budget only expires when the host cannot run the worker
   // concurrently, where yielding (or, under wait=futex/condvar, sleeping
   // until the worker's notify) is what lets the worker finish at all.
+  const std::uint32_t bell = bell_.load(std::memory_order_relaxed);
   done_gate_.await(
-      status_, [](WorkerState s) { return s == WorkerState::kWaiting; },
-      cfg_.wait, cfg_.spin,
+      done_, [bell](std::uint32_t done) { return done == bell; }, cfg_.wait,
+      cfg_.spin,
       GateCounters{&stats_.caller_yields, &stats_.caller_sleeps,
                    &stats_.caller_wakeups});
+  if (error_ == nullptr) return nullptr;
+  return std::exchange(error_, nullptr);
 }
 
 void ZcWorker::release() noexcept {
+  submitted_.store(false, std::memory_order_relaxed);
   status_.store(WorkerState::kUnused, std::memory_order_release);
 }
 
@@ -107,6 +131,64 @@ void ZcWorker::command(SchedCmd cmd) noexcept {
   cv_.notify_one();
 }
 
+void ZcWorker::serve(std::uint32_t bell) {
+  // Execute the published request without any enclave transition.
+  auto* header = static_cast<FrameHeader*>(request_);
+  MarshalledCall call = frame_view(request_);
+  const OcallTable& table = cfg_.direction == CallDirection::kOcall
+                                ? enclave_.ocalls()
+                                : enclave_.ecalls();
+  try {
+    table.dispatch(header->fn_id, call);
+  } catch (...) {
+    // A handler's failure crosses the boundary as a value: the caller
+    // rethrows it, as it would have caught it on a regular ocall.
+    error_ = std::current_exception();
+  }
+  served_.store(served_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  done_.store(bell, std::memory_order_release);
+  // Sleeping wait policies need the hand-off notify; the default
+  // yield/spin callers poll, so their hot path stays fence-free.
+  if (gate_can_sleep(cfg_.wait)) done_gate_.notify(done_);
+}
+
+bool ZcWorker::obey(SchedCmd cmd, std::size_t meter_slot) {
+  // The paper pauses a worker only "if ... no caller thread has reserved
+  // (or is using) the worker": the status word decides, and it is read
+  // before the CAS so a held worker's line is not taken away.
+  if (status_.load(std::memory_order_relaxed) != WorkerState::kUnused) {
+    return true;
+  }
+  WorkerState expected = WorkerState::kUnused;
+  const WorkerState next =
+      cmd == SchedCmd::kExit ? WorkerState::kExit : WorkerState::kPaused;
+  if (!status_.compare_exchange_strong(expected, next,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+    return true;
+  }
+  if (cmd == SchedCmd::kExit) {
+    // Final cleanup (paper: workers free memory, then terminate).
+    pool_.reset();
+    return false;
+  }
+  stats_.worker_sleeps.add();
+  if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
+  {
+    std::unique_lock lock(mu_);
+    // Count every resume — spurious ones included — so wake storms show
+    // up in worker_wakeups, not just in syscall profiles.
+    while (cmd_.load(std::memory_order_acquire) == SchedCmd::kPause) {
+      parks_.fetch_add(1, std::memory_order_release);
+      cv_.wait(lock);
+      stats_.worker_wakeups.add();
+    }
+  }
+  status_.store(WorkerState::kUnused, std::memory_order_release);
+  return true;
+}
+
 void ZcWorker::main() {
   const SimConfig& sim = enclave_.config();
   if (sim.pin_threads) {
@@ -117,54 +199,20 @@ void ZcWorker::main() {
     meter_slot = cfg_.meter->register_current_thread();
   }
 
+  // Start from the done sequence, not the bell: a call submitted before
+  // this thread ran has already rung the bell and must still be served.
+  std::uint32_t answered = done_.load(std::memory_order_relaxed);
   std::uint64_t iterations = 0;
   for (;;) {
-    const WorkerState s = status_.load(std::memory_order_acquire);
-
-    if (s == WorkerState::kProcessing) {
-      // Execute the published request without any enclave transition.
-      auto* header = static_cast<FrameHeader*>(request_);
-      MarshalledCall call = frame_view(request_);
-      const OcallTable& table = cfg_.direction == CallDirection::kOcall
-                                    ? enclave_.ocalls()
-                                    : enclave_.ecalls();
-      table.dispatch(header->fn_id, call);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      status_.store(WorkerState::kWaiting, std::memory_order_release);
-      // Sleeping wait policies need the hand-off notify; the default
-      // yield/spin callers poll, so their hot path stays fence-free.
-      if (gate_can_sleep(cfg_.wait)) done_gate_.notify(status_);
+    const std::uint32_t bell = bell_.load(std::memory_order_acquire);
+    if (bell != answered) {
+      serve(bell);
+      answered = bell;
       continue;
     }
 
-    if (s == WorkerState::kUnused) {
-      const SchedCmd cmd = cmd_.load(std::memory_order_acquire);
-      if (cmd == SchedCmd::kExit) {
-        // Final cleanup (paper: workers free memory, then terminate).
-        pool_.reset();
-        status_.store(WorkerState::kExit, std::memory_order_release);
-        break;
-      }
-      if (cmd == SchedCmd::kPause) {
-        WorkerState expected = WorkerState::kUnused;
-        if (status_.compare_exchange_strong(expected, WorkerState::kPaused,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-          stats_.worker_sleeps.add();
-          if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
-          std::unique_lock lock(mu_);
-          // Count every resume — spurious ones included — so wake storms
-          // show up in worker_wakeups, not just in syscall profiles.
-          while (cmd_.load(std::memory_order_acquire) == SchedCmd::kPause) {
-            parks_.fetch_add(1, std::memory_order_release);
-            cv_.wait(lock);
-            stats_.worker_wakeups.add();
-          }
-          status_.store(WorkerState::kUnused, std::memory_order_release);
-        }
-        continue;
-      }
-    }
+    const SchedCmd cmd = cmd_.load(std::memory_order_acquire);
+    if (cmd != SchedCmd::kRun && !obey(cmd, meter_slot)) break;
 
     // Busy-wait for work: this (or the caller's completion spin) is the
     // "exactly one thread busy-waiting per active worker" of §IV-A.  The

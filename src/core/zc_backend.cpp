@@ -1,9 +1,30 @@
 #include "core/zc_backend.hpp"
 
+#include <algorithm>
+#include <exception>
+
 namespace zc {
 
+namespace {
+
+// The worker this thread last reserved, per backend.  Starting the scan
+// there lets a lone caller find its own worker's lines still in its cache,
+// and keeps two callers from colliding on worker 0 every call.  Backends
+// are told apart by a process-unique key, not by address: a backend built
+// where a destroyed one lived starts every thread's scan at worker 0.
+struct ReserveHint {
+  std::uint64_t backend = 0;
+  unsigned worker = 0;
+};
+thread_local ReserveHint t_hint;
+std::atomic<std::uint64_t> g_next_hint_key{1};
+
+}  // namespace
+
 ZcBackend::ZcBackend(Enclave& enclave, ZcConfig cfg)
-    : enclave_(enclave), cfg_(std::move(cfg)) {
+    : enclave_(enclave),
+      cfg_(std::move(cfg)),
+      hint_key_(g_next_hint_key.fetch_add(1, std::memory_order_relaxed)) {
   if (cfg_.pool == FramePoolKind::kSlab) {
     slab_ = std::make_unique<SlabPool>();
     slab_->set_counters(SlabPool::Counters{
@@ -69,14 +90,20 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
 
   // Switchless-call selection (§IV-C): run switchlessly iff an idle worker
   // exists right now; otherwise refuse immediately (no busy waiting for
-  // capacity).
-  const unsigned m = active_count_.load(std::memory_order_acquire);
+  // capacity).  Every active worker is tried before refusing; the scan
+  // starts at this thread's last worker while that one is still active.
+  const unsigned m = std::min(active_count_.load(std::memory_order_acquire),
+                              static_cast<unsigned>(workers_.size()));
+  unsigned i =
+      t_hint.backend == hint_key_ && t_hint.worker < m ? t_hint.worker : 0;
   ZcWorker* worker = nullptr;
-  for (unsigned i = 0; i < m && i < workers_.size(); ++i) {
+  for (unsigned tried = 0; tried < m; ++tried) {
     if (workers_[i]->try_reserve()) {
       worker = workers_[i].get();
+      t_hint = ReserveHint{hint_key_, i};
       break;
     }
+    if (++i == m) i = 0;
   }
   if (worker == nullptr) return false;
 
@@ -97,13 +124,16 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
 
   MarshalledCall call = marshal_into(mem, desc);
   worker->submit(mem);
-  worker->wait_done();
-  unmarshal_from(call, desc);
+  const std::exception_ptr error = worker->wait_done();
+  if (error == nullptr) unmarshal_from(call, desc);
   worker->release();
   if (slab_ != nullptr) slab_->free(mem);
+  stats_.in_flight.sub();
+  // A throwing handler reaches the caller as on a regular ocall, and is
+  // counted as fallback() counts one: not at all.
+  if (error != nullptr) std::rethrow_exception(error);
   const std::uint64_t elided = copies_elided_by(desc);
   if (elided != 0) stats_.copies_elided.add(elided);
-  stats_.in_flight.sub();
   stats_.switchless_calls.add();
   return true;
 }

@@ -1,14 +1,16 @@
 // ZC-Switchless call backend (paper §IV, Fig. 4).
 //
 // Any ocall is a switchless candidate: the caller scans the active workers
-// for an UNUSED one, reserves it, copies its request into the worker's
-// buffer and busy-waits for the result.  If no worker is idle the call
-// "immediately falls back to a regular ocall without any busy waiting"
-// (§IV-C) — the property that shields ZC from the Intel rbf pathology in
-// the OpenSSL experiment (Fig. 10).
+// for an UNUSED one (starting at the one it reserved last), reserves it,
+// copies its request into the worker's buffer and busy-waits for the
+// result.  If no worker is idle the call "immediately falls back to a
+// regular ocall without any busy waiting" (§IV-C) — the property that
+// shields ZC from the Intel rbf pathology in the OpenSSL experiment
+// (Fig. 10).
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -36,7 +38,8 @@ class ZcBackend final : public CallBackend {
   /// refusal means (plain invoke() falls back; the sharded router's
   /// steal path probes another shard first).  While the call is in
   /// flight, stats().in_flight is raised — the load signal the sharded
-  /// load-aware selectors read.
+  /// load-aware selectors read.  A handler that throws on the worker
+  /// has its exception rethrown here once the worker is released.
   bool try_invoke_switchless(const CallDesc& desc) override;
   const char* name() const noexcept override {
     return cfg_.direction == CallDirection::kOcall ? "zc" : "zc-ecall";
@@ -73,6 +76,7 @@ class ZcBackend final : public CallBackend {
 
   Enclave& enclave_;
   ZcConfig cfg_;
+  const std::uint64_t hint_key_;  ///< names this backend in callers' hints
   std::unique_ptr<SlabPool> slab_;  ///< frame slabs when pool=slab
   std::vector<std::unique_ptr<ZcWorker>> workers_;
   std::unique_ptr<ZcScheduler> scheduler_;

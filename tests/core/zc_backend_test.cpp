@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "common/cycles.hpp"
@@ -218,6 +219,54 @@ TEST_F(ZcBackendTest, SwitchlessPathNeverTransitions) {
   }
   EXPECT_EQ(enclave_->transitions().eexit_count(), 0u);
   EXPECT_EQ(enclave_->transitions().eenter_count(), 0u);
+}
+
+TEST_F(ZcBackendTest, HandlerExceptionReachesTheCallerBothWays) {
+  // x < 0 makes the handler throw; otherwise it increments.
+  const std::uint32_t id =
+      enclave_->ocalls().register_fn("checked", [](MarshalledCall& call) {
+        auto* args = static_cast<IncArgs*>(call.args);
+        if (args->x < 0) throw std::runtime_error("handler failed");
+        args->x += 1;
+      });
+  for (const unsigned workers : {1u, 0u}) {
+    SCOPED_TRACE(workers);
+    auto* backend = install(manual(workers));
+    IncArgs bad;
+    bad.x = -5;
+    EXPECT_THROW(enclave_->ocall(id, bad), std::runtime_error);
+    EXPECT_EQ(bad.x, -5);  // the throwing call is not unmarshalled
+    const BackendStats& stats = backend->stats();
+    EXPECT_EQ(stats.switchless_calls.load(), 0u);
+    EXPECT_EQ(stats.fallback_calls.load(), 0u);
+    EXPECT_EQ(stats.in_flight.load(), 0);
+
+    // The next call on the same worker succeeds.
+    IncArgs good;
+    EXPECT_EQ(enclave_->ocall(id, good),
+              workers != 0 ? CallPath::kSwitchless : CallPath::kFallback);
+    EXPECT_EQ(good.x, 1);
+    if (workers != 0) {
+      EXPECT_EQ(backend->per_worker_served()[0], 2u);
+    }
+  }
+}
+
+TEST_F(ZcBackendTest, ThrowingHandlerFreesItsSlabFrame) {
+  const std::uint32_t id =
+      enclave_->ocalls().register_fn("throws", [](MarshalledCall&) {
+        throw std::runtime_error("handler failed");
+      });
+  ZcConfig cfg = manual(1);
+  cfg.pool = FramePoolKind::kSlab;
+  auto* backend = install(cfg);
+  IncArgs args;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_THROW(enclave_->ocall(id, args), std::runtime_error);
+  }
+  // Every frame went back to the slab: one growth served all 100 calls.
+  EXPECT_EQ(backend->slab()->miss_count(), 1u);
+  EXPECT_EQ(backend->per_worker_served()[0], 100u);
 }
 
 TEST_F(ZcBackendTest, MakeFactoryProducesWorkingBackend) {
