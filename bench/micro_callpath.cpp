@@ -10,7 +10,10 @@
 // tlibc memcpy implementations, the copy stage of one call on its own
 // (BM_MarshalRoundTrip: marshal_into + unmarshal_from per memcpy kind and
 // payload size; lane=marshal), the zc hand-off with one and two callers
-// (BM_ZcSwitchless: ns per call and caller; lane=handoff), and the
+// (BM_ZcSwitchless: ns per call and caller; lane=handoff), one call
+// counter bumped by 1, 2 and 4 threads at once, a padded shared line
+// against the per-CPU sharded counter the call path uses
+// (BM_CallCounters: ns per add and thread; lane=counters), and the
 // in-enclave cipher on its own
 // (BM_CbcSector: one 4 KB AES-256-CBC sector each way, key schedule per
 // sector vs cached; lane=cipher).
@@ -170,6 +173,21 @@ std::map<unsigned, HandoffRow>& handoff_rows() {
   return rows;
 }
 
+// --json rows of the BM_CallCounters lane: every thread adds to one
+// counter; `total` is the counter's load() after the loop, which must
+// equal `adds`.
+struct CounterRow {
+  std::string kind;
+  unsigned threads = 0;
+  std::uint64_t adds = 0;  ///< all threads together
+  std::uint64_t total = 0;
+  double seconds = 0;
+};
+std::map<std::pair<std::string, unsigned>, CounterRow>& counter_rows() {
+  static std::map<std::pair<std::string, unsigned>, CounterRow> rows;
+  return rows;
+}
+
 unsigned g_pipeline = 1;
 workload::CallerSkew g_skew = workload::CallerSkew::kUniform;
 std::uint64_t g_seed = 0;  ///< --seed=N; 0 draws fresh (reported per row)
@@ -244,6 +262,39 @@ void BM_ZcSwitchless(benchmark::State& state) {
   f.reset();
 }
 BENCHMARK(BM_ZcSwitchless)->Threads(1)->Threads(2)->UseRealTime();
+
+// What one counter bump costs when several threads bump the same counter
+// on every call, as the call path does with BackendStats and the
+// transition counters: the padded single line every thread RMWs against
+// the per-CPU sharded counter.  Thread 0 builds the counter; the loop's
+// start and stop barriers order that, and its read, against the others.
+// JSONL rows: lane=counters.
+const char* counter_kind(const PaddedCounter*) { return "padded"; }
+const char* counter_kind(const ShardedCounter*) { return "sharded"; }
+
+template <typename Counter>
+void BM_CallCounters(benchmark::State& state) {
+  static std::unique_ptr<Counter> counter;
+  const auto threads = static_cast<unsigned>(state.threads());
+  if (state.thread_index() == 0) counter = std::make_unique<Counter>();
+  const std::uint64_t t0 = wall_ns();
+  for (auto _ : state) {
+    counter->add();
+  }
+  if (state.thread_index() != 0) return;
+  CounterRow row;
+  row.kind = counter_kind(counter.get());
+  row.threads = threads;
+  row.adds = static_cast<std::uint64_t>(state.iterations()) * threads;
+  row.total = counter->load();
+  row.seconds = static_cast<double>(wall_ns() - t0) * 1e-9;
+  counter_rows()[{row.kind, threads}] = row;
+  counter.reset();
+}
+BENCHMARK_TEMPLATE(BM_CallCounters, PaddedCounter)
+    ->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_CallCounters, ShardedCounter)
+    ->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 void BM_ZcImmediateFallback(benchmark::State& state) {
   Fixture f;
@@ -981,6 +1032,24 @@ int main(int argc, char** argv) {
                  .set("ns_per_call", per_call * 1e9)
                  .set("switchless", row.switchless)
                  .set("fallbacks", row.fallbacks)
+                 .str()
+          << '\n';
+    }
+    for (const auto& [key, row] : counter_rows()) {
+      // Per add and thread: what one call pays for its bump.
+      const double per_add =
+          row.adds > 0 ? row.seconds * row.threads /
+                             static_cast<double>(row.adds)
+                       : 0.0;
+      out << zc::bench::JsonRow()
+                 .set("figure", "micro_callpath")
+                 .set("lane", "counters")
+                 .set("kind", row.kind)
+                 .set("threads", static_cast<std::uint64_t>(row.threads))
+                 .set("adds", row.adds)
+                 .set("total", row.total)
+                 .set("seconds", row.seconds)
+                 .set("ns_per_add", per_add * 1e9)
                  .str()
           << '\n';
     }

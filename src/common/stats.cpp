@@ -1,9 +1,32 @@
 #include "common/stats.hpp"
 
+#include <unistd.h>
+
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 
 namespace zc {
+
+ShardedCounter::ShardedCounter()
+    : slots_(std::make_unique<Slot[]>(slot_count())),
+      mask_(slot_count() - 1) {}
+
+std::uint64_t ShardedCounter::load() const noexcept {
+  std::uint64_t sum = 0;
+  for (unsigned i = 0; i <= mask_; ++i) {
+    sum += slots_[i].value.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+unsigned ShardedCounter::slot_count() noexcept {
+  static const unsigned count = [] {
+    const long cpus = sysconf(_SC_NPROCESSORS_CONF);
+    return std::bit_ceil(static_cast<unsigned>(cpus > 0 ? cpus : 1));
+  }();
+  return count;
+}
 
 double SampleSeries::percentile(double p) const {
   if (samples_.empty()) throw std::logic_error("percentile of empty series");

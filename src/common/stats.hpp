@@ -1,11 +1,17 @@
 // Lightweight statistics used across the call backends and the benches.
 #pragma once
 
+#include <sched.h>
+#if __has_include(<sys/rseq.h>)
+#include <sys/rseq.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace zc {
@@ -26,22 +32,64 @@ struct alignas(64) PaddedCounter {
   }
 };
 
-/// Cache-line padded gauge: like PaddedCounter but decrementable, for
-/// levels rather than totals (e.g. calls currently inside a backend).
-/// Relaxed ordering throughout — readers want a cheap, approximately
-/// current level, not a synchronisation point.
-struct alignas(64) PaddedGauge {
-  std::atomic<std::uint64_t> value{0};
+/// The CPU the calling thread runs on.  glibc (>= 2.35) registers an rseq
+/// area per thread whose cpu_id the kernel keeps current; this reads it in
+/// place, as sched_getcpu() does, without the call (~0.6 ns against ~4 ns
+/// on a 4-vCPU Xeon).  Falls back to sched_getcpu() where rseq is absent
+/// or unregistered; 0 if even that fails.
+inline unsigned current_cpu_index() noexcept {
+#if defined(RSEQ_SIG) && defined(__has_builtin)
+#if __has_builtin(__builtin_thread_pointer)
+  const auto* area = reinterpret_cast<const volatile struct rseq*>(
+      static_cast<const char*>(__builtin_thread_pointer()) + __rseq_offset);
+  const auto rseq_cpu = static_cast<std::int32_t>(area->cpu_id);
+  if (rseq_cpu >= 0) return static_cast<unsigned>(rseq_cpu);
+#endif
+#endif
+  const int cpu = sched_getcpu();
+  return cpu < 0 ? 0u : static_cast<unsigned>(cpu);
+}
+
+/// A counter for the per-call path: many threads add, few read.  It keeps
+/// one cache-line padded slot per CPU, and add()/sub() do a relaxed RMW on
+/// the slot of the CPU the calling thread runs on (current_cpu_index()).
+/// Threads running at the same time therefore never write the same line,
+/// however many threads come and go; a thread migrated between reading
+/// its CPU and the RMW only touches another CPU's slot, which stays exact
+/// because every slot is atomic.  load() sums the slots modulo 2^64, so a
+/// level raised on one CPU and lowered on another (a gauge) nets out
+/// exactly.  It is live but not a snapshot: adds that race with it may or
+/// may not be counted.
+class ShardedCounter {
+ public:
+  ShardedCounter();
+
+  ShardedCounter(const ShardedCounter&) = delete;
+  ShardedCounter& operator=(const ShardedCounter&) = delete;
 
   void add(std::uint64_t n = 1) noexcept {
-    value.fetch_add(n, std::memory_order_relaxed);
+    slot().fetch_add(n, std::memory_order_relaxed);
   }
   void sub(std::uint64_t n = 1) noexcept {
-    value.fetch_sub(n, std::memory_order_relaxed);
+    slot().fetch_sub(n, std::memory_order_relaxed);
   }
-  std::uint64_t load() const noexcept {
-    return value.load(std::memory_order_relaxed);
+  std::uint64_t load() const noexcept;
+
+  /// Slots per counter: the configured CPU count rounded up to a power
+  /// of two (CPU ids past it wrap, sharing a slot but staying exact).
+  static unsigned slot_count() noexcept;
+
+ private:
+  struct alignas(64) Slot {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  std::atomic<std::uint64_t>& slot() noexcept {
+    return slots_[current_cpu_index() & mask_].value;
   }
+
+  std::unique_ptr<Slot[]> slots_;
+  unsigned mask_;
 };
 
 /// Welford online mean/variance with min/max. Single-writer.

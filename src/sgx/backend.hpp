@@ -51,11 +51,13 @@ const char* to_string(CopyMode mode) noexcept;
 
 struct BackendStatsSnapshot;
 
-/// Counters shared by all backends (padded; updated from many threads).
+/// Counters shared by all backends (updated from many threads).  Those
+/// every call bumps are per-CPU sharded, so the call path writes no line
+/// another caller writes; the rest are padded and bumped off that path.
 struct BackendStats {
-  PaddedCounter regular_calls;     ///< calls that took the regular path
-  PaddedCounter switchless_calls;  ///< calls served by a worker
-  PaddedCounter fallback_calls;    ///< switchless attempts that fell back
+  ShardedCounter regular_calls;     ///< calls that took the regular path
+  ShardedCounter switchless_calls;  ///< calls served by a worker
+  ShardedCounter fallback_calls;    ///< switchless attempts that fell back
   PaddedCounter pool_resets;       ///< worker request-pool reallocations
   PaddedCounter worker_sleeps;     ///< workers that went to sleep (rbs)
   PaddedCounter worker_wakeups;    ///< sleeping workers woken by a caller
@@ -76,12 +78,13 @@ struct BackendStats {
                                    ///< fresh block (cold class)
   PaddedCounter slab_grows;        ///< slab-pool slab extensions (one per
                                    ///< multi-block growth of a size class)
-  PaddedCounter copies_elided;     ///< payload copies skipped by copy=single
+  ShardedCounter copies_elided;    ///< payload copies skipped by copy=single
                                    ///< (handler consumed/produced in place)
   /// Calls currently occupying one of this backend's workers (claimed
   /// through collected).  This is the cheap per-shard load signal the
-  /// sharded backend's load-aware selectors read: a level, not a total.
-  PaddedGauge in_flight;
+  /// sharded backend's load-aware selectors read: a level, not a total
+  /// (add() on entry, sub() on exit; the slots sum modulo 2^64).
+  ShardedCounter in_flight;
 
   std::uint64_t total_calls() const noexcept {
     return regular_calls.load() + switchless_calls.load() +

@@ -85,8 +85,16 @@ void execute_regular_ocall(Enclave& enclave, const CallDesc& desc) {
   void* mem = ScratchArena::for_current_thread().acquire(frame_bytes(desc));
   MarshalledCall call = marshal_into(mem, desc);
   enclave.transitions().eexit();
-  enclave.ocalls().dispatch(desc.fn_id, call);
-  enclave.transitions().eenter();
+  {
+    // EENTER is charged however the handler returns: a throwing handler
+    // re-enters the enclave to deliver its exception, so eexit_count()
+    // and eenter_count() stay paired.
+    struct Reenter {
+      TransitionModel& transitions;
+      ~Reenter() { transitions.eenter(); }
+    } reenter{enclave.transitions()};
+    enclave.ocalls().dispatch(desc.fn_id, call);
+  }
   unmarshal_from(call, desc);
 }
 

@@ -2,12 +2,35 @@
 
 #include <fcntl.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 
 #include "common/cycles.hpp"
 
 namespace zc {
+
+namespace {
+
+// Memo slots per thread, direct-mapped by key.  Handles and fds are never
+// reused, so a key names one stream for the life of the process; the few
+// streams one thread works on at a time rarely evict each other.
+constexpr std::size_t kMemoSlots = 16;
+// Marks fd keys, keeping them apart from handle keys.
+constexpr std::uint64_t kFdKey = std::uint64_t{1} << 63;
+
+// Marks the stream closed, so memoised references to it fail, and drops
+// it from `table`.  Caller holds the registry mutex.
+template <typename Table>
+bool unregister(Table& table, typename Table::key_type id) {
+  const auto it = table.find(id);
+  if (it == table.end()) return false;
+  it->second->closed.store(true, std::memory_order_release);
+  table.erase(it);
+  return true;
+}
+
+}  // namespace
 
 SimFs& SimFs::instance() {
   static SimFs fs;
@@ -80,16 +103,45 @@ std::uint64_t SimFs::fopen(const std::string& path, const std::string& mode) {
   return handle;
 }
 
+SimFs::MemoEntry& SimFs::memo_entry(std::uint64_t key) noexcept {
+  thread_local std::array<MemoEntry, kMemoSlots> memo;
+  return memo[key % kMemoSlots];
+}
+
+template <typename Table>
+std::shared_ptr<SimFs::Stream> SimFs::lookup(const Table& table,
+                                             typename Table::key_type id,
+                                             std::uint64_t key) const {
+  MemoEntry& memo = memo_entry(key);
+  if (memo.key == key) {
+    std::shared_ptr<Stream> stream = memo.stream.lock();
+    if (stream && !stream->closed.load(std::memory_order_acquire)) {
+      return stream;
+    }
+  }
+  std::shared_ptr<Stream> stream;
+  {
+    std::lock_guard lock(mu_);
+    const auto it = table.find(id);
+    if (it != table.end()) stream = it->second;
+  }
+  if (stream) memo = MemoEntry{key, stream};
+  return stream;
+}
+
 std::shared_ptr<SimFs::Stream> SimFs::find_stream(std::uint64_t handle) const {
-  std::lock_guard lock(mu_);
-  const auto it = streams_.find(handle);
-  return it == streams_.end() ? nullptr : it->second;
+  if ((handle & kFdKey) != 0) return nullptr;  // never issued
+  return lookup(streams_, handle, handle);
+}
+
+std::shared_ptr<SimFs::Stream> SimFs::find_fd(int fd) const {
+  return lookup(fds_, fd, kFdKey | static_cast<std::uint32_t>(fd));
 }
 
 int SimFs::fclose(std::uint64_t handle) {
   charge();
   std::lock_guard lock(mu_);
-  return streams_.erase(handle) != 0 ? 0 : EOF;
+  return unregister(streams_, handle) ? 0 : EOF;
 }
 
 std::size_t SimFs::fread(void* dst, std::size_t n, std::uint64_t handle) {
@@ -191,20 +243,14 @@ int SimFs::open(const std::string& path, int flags) {
 int SimFs::close(int fd) {
   charge();
   std::lock_guard lock(mu_);
-  return fds_.erase(fd) != 0 ? 0 : -1;
+  return unregister(fds_, fd) ? 0 : -1;
 }
 
 std::int64_t SimFs::read(int fd, void* buf, std::size_t n) {
   charge();
   if (take_failure()) return -1;
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) return -1;
-    stream = it->second;
-  }
-  if (!stream->readable) return -1;
+  const std::shared_ptr<Stream> stream = find_fd(fd);
+  if (!stream || !stream->readable) return -1;
   switch (stream->dev) {
     case DevKind::kZero:
       std::memset(buf, 0, n);
@@ -227,14 +273,8 @@ std::int64_t SimFs::read(int fd, void* buf, std::size_t n) {
 std::int64_t SimFs::write(int fd, const void* buf, std::size_t n) {
   charge();
   if (take_failure()) return -1;
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) return -1;
-    stream = it->second;
-  }
-  if (!stream->writable) return -1;
+  const std::shared_ptr<Stream> stream = find_fd(fd);
+  if (!stream || !stream->writable) return -1;
   switch (stream->dev) {
     case DevKind::kZero:
       return static_cast<std::int64_t>(n);
@@ -273,6 +313,12 @@ void SimFs::remove(const std::string& path) {
 void SimFs::clear() {
   failures_left_.store(0, std::memory_order_relaxed);
   std::lock_guard lock(mu_);
+  for (auto& entry : streams_) {
+    entry.second->closed.store(true, std::memory_order_release);
+  }
+  for (auto& entry : fds_) {
+    entry.second->closed.store(true, std::memory_order_release);
+  }
   files_.clear();
   streams_.clear();
   fds_.clear();

@@ -11,6 +11,14 @@
 // Functional tests use the real OS; the figure benches use this substrate
 // (see EnclaveLibc's IoMode).  Everything here is "untrusted world" code:
 // it runs on whatever thread executes the ocall handler.
+//
+// Like real stdio, which locks each FILE* rather than the process, a data
+// operation takes only its file's lock.  Mapping a handle or fd to its
+// stream goes through a small per-thread memo of weak references, so the
+// registry mutex is taken only by fopen/fclose/open/close/clear and by the
+// first use of a handle on a thread.  The memo owns nothing: a closed
+// stream is freed as soon as no operation holds it, and its `closed` flag
+// (set under the registry mutex) makes every later lookup fail.
 #pragma once
 
 #include <atomic>
@@ -79,12 +87,29 @@ class SimFs {
     bool writable = false;
     bool append = false;
     DevKind dev = DevKind::kFile;
+    std::atomic<bool> closed{false};  ///< set under mu_ before unregistering
   };
 
   SimFs() = default;
   void charge() const noexcept;
   bool take_failure() noexcept;
+  /// One slot of a thread's stream memo: a stream this thread looked up,
+  /// by memo key (a handle, or an fd with the top bit set).
+  struct MemoEntry {
+    std::uint64_t key = 0;
+    std::weak_ptr<Stream> stream;
+  };
+  static MemoEntry& memo_entry(std::uint64_t key) noexcept;
+
+  /// The open stream of a handle or fd; null once closed or cleared.
   std::shared_ptr<Stream> find_stream(std::uint64_t handle) const;
+  std::shared_ptr<Stream> find_fd(int fd) const;
+  /// Both lookups: the thread's memo first, else `table` under mu_ (and
+  /// the stream found is memoised under `key`).
+  template <typename Table>
+  std::shared_ptr<Stream> lookup(const Table& table,
+                                 typename Table::key_type id,
+                                 std::uint64_t key) const;
 
   mutable std::mutex mu_;  // registry only (paths + handle tables)
   std::unordered_map<std::string, std::shared_ptr<File>> files_;

@@ -41,10 +41,12 @@ class TransitionModel {
   std::uint64_t tes_cycles_;
   std::uint64_t eexit_cycles_;
   std::uint64_t eenter_cycles_;
-  PaddedCounter eexits_;
-  PaddedCounter eenters_;
-  PaddedCounter ecalls_;
-  PaddedCounter burned_;
+  // Bumped by every regular call and fallback: per-CPU, so concurrent
+  // callers do not contend on them.
+  ShardedCounter eexits_;
+  ShardedCounter eenters_;
+  ShardedCounter ecalls_;
+  ShardedCounter burned_;
 };
 
 }  // namespace zc

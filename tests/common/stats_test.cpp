@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "common/pin.hpp"
 
 namespace zc {
 namespace {
@@ -35,6 +40,96 @@ TEST(PaddedCounter, ConcurrentAddsAreLossless) {
     }
   }
   EXPECT_EQ(c.load(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(ShardedCounter, StartsAtZeroAndAdds) {
+  ShardedCounter c;
+  EXPECT_EQ(c.load(), 0u);
+  c.add();
+  c.add(41);
+  EXPECT_EQ(c.load(), 42u);
+}
+
+TEST(ShardedCounter, HasASlotPerCpu) {
+  const unsigned slots = ShardedCounter::slot_count();
+  EXPECT_TRUE(std::has_single_bit(slots)) << slots;
+  EXPECT_GE(slots, host_logical_cpus());
+}
+
+// Threads outnumber CPUs, so several share a CPU's slot in turn and
+// migrate between slots mid-run: the sum must still be exact.
+TEST(ShardedCounter, MoreThreadsThanCpusSumExactly) {
+  ShardedCounter c;
+  const unsigned threads = std::min(4 * host_logical_cpus() + 1, 33u);
+  constexpr std::uint64_t kAdds = 20'000;
+  {
+    std::vector<std::jthread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+      pool.emplace_back([&c, t] {
+        for (std::uint64_t i = 0; i < kAdds; ++i) c.add(t + 1);
+      });
+    }
+  }
+  const std::uint64_t n = threads;
+  EXPECT_EQ(c.load(), kAdds * n * (n + 1) / 2);
+}
+
+TEST(ShardedCounter, LoadIsLiveWhileThreadsAdd) {
+  ShardedCounter c;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> added{0};
+  std::jthread adder([&] {
+    std::uint64_t n = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      c.add();
+      ++n;
+    }
+    added.store(n, std::memory_order_release);
+  });
+  // Each read sees the adds made so far: the level climbs past successive
+  // marks while the adder is still running.
+  std::uint64_t last = 0;
+  for (const std::uint64_t mark : {1'000u, 10'000u, 100'000u}) {
+    while (c.load() < mark) std::this_thread::yield();
+    const std::uint64_t now = c.load();
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  adder.join();
+  EXPECT_EQ(c.load(), added.load(std::memory_order_acquire));
+}
+
+// A gauge: raised on one thread (and CPU), lowered on another.  Its slots
+// hold +n and -n modulo 2^64 and the level sums back to 0.
+TEST(ShardedCounter, GaugeRaisedAndLoweredOnDifferentThreadsReturnsToZero) {
+  ShardedCounter level;
+  const unsigned cpus = host_logical_cpus();
+  constexpr std::uint64_t kCalls = 50'000;
+  std::atomic<std::uint64_t> raised{0};
+  std::jthread raiser([&] {
+    pin_current_thread(0);
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      level.add();
+      raised.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::jthread lowerer([&] {
+    pin_current_thread(cpus > 1 ? 1 : 0);
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      while (raised.load(std::memory_order_acquire) <= i) {
+        std::this_thread::yield();
+      }
+      level.sub();
+    }
+  });
+  raiser.join();
+  lowerer.join();
+  EXPECT_EQ(level.load(), 0u);
+  level.sub(3);
+  EXPECT_EQ(level.load(), ~std::uint64_t{0} - 2);  // wraps, as a gauge may
+  level.add(3);
+  EXPECT_EQ(level.load(), 0u);
 }
 
 TEST(RunningStat, EmptyIsZero) {

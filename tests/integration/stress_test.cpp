@@ -101,6 +101,58 @@ TEST_F(StressTest, ZcBackendUnderPressure) {
   hammer(scaled_threads(16), scaled_calls(2'000));
 }
 
+// The call counters and transition counters are per-CPU shards summed on
+// read.  Four callers run until the scheduler has paused and resumed
+// workers under them; every call must still be counted exactly once and
+// every transition pair must close.
+TEST_F(StressTest, ZcCountersStayExactUnderSchedulerChurn) {
+  ZcConfig cfg;
+  cfg.quantum = 2ms;  // re-decide the worker count every 2 ms
+  enclave_->set_backend(std::make_unique<ZcBackend>(*enclave_, cfg));
+  const BackendStats& stats = enclave_->backend().stats();
+  constexpr unsigned kCallers = 4;
+  const std::uint64_t min_calls = scaled_calls(4'000) * kCallers;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> issued{0};
+  {
+    std::vector<std::jthread> callers;
+    for (unsigned t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&] {
+        std::uint64_t n = 0;
+        SumArgs args;
+        while (!stop.load(std::memory_order_relaxed)) {
+          args.value = n;
+          enclave_->ocall(sum_id_, args);
+          ++n;
+        }
+        issued.fetch_add(n);
+      });
+    }
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while ((stats.total_calls() < min_calls ||
+            stats.worker_wakeups.load() == 0) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    stop.store(true, std::memory_order_relaxed);
+  }
+
+  EXPECT_GT(stats.worker_sleeps.load(), 0u);  // workers paused mid-run
+  EXPECT_GT(stats.worker_wakeups.load(), 0u);  // ... and resumed
+  EXPECT_EQ(stats.regular_calls.load() + stats.switchless_calls.load() +
+                stats.fallback_calls.load(),
+            issued.load());
+  EXPECT_EQ(stats.in_flight.load(), 0u);  // quiesced
+  const TransitionModel& t = enclave_->transitions();
+  EXPECT_EQ(t.eexit_count(), t.eenter_count());
+  // Each regular call, fallback and pool reset is one EEXIT/EENTER pair.
+  EXPECT_EQ(t.eexit_count(), stats.regular_calls.load() +
+                                 stats.fallback_calls.load() +
+                                 stats.pool_resets.load());
+  EXPECT_EQ(t.burned_cycles(), t.eexit_count() * t.tes_cycles());
+}
+
 TEST_F(StressTest, IntelBackendUnderPressure) {
   intel::IntelSlConfig cfg;
   cfg.num_workers = 3;

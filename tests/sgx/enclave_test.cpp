@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <new>
+#include <stdexcept>
 
 #include "common/cycles.hpp"
+#include "core/backend_registry.hpp"
 
 namespace zc {
 namespace {
@@ -96,6 +98,26 @@ TEST(Enclave, BackendStatsCountRegularCalls) {
   for (int i = 0; i < 5; ++i) enclave->ocall(id, args);
   EXPECT_EQ(enclave->backend().stats().regular_calls.load(), 5u);
   EXPECT_EQ(enclave->backend().stats().total_calls(), 5u);
+}
+
+// A handler that throws still re-enters the enclave: the regular path
+// (no_sl, and zc's fallback with no workers) charges EENTER on the way out
+// of the dispatch, so the transition counts stay paired.
+TEST(Enclave, ThrowingHandlerKeepsTransitionsPaired) {
+  for (const char* spec : {"no_sl", "zc:workers=0;scheduler=off"}) {
+    SCOPED_TRACE(spec);
+    auto enclave = Enclave::create(cheap_config());
+    install_backend_spec(*enclave, spec);
+    const auto id = enclave->ocalls().register_fn(
+        "boom", [](MarshalledCall&) { throw std::runtime_error("boom"); });
+    AddArgs args;
+    EXPECT_THROW(enclave->ocall(id, args), std::runtime_error);
+    EXPECT_EQ(enclave->transitions().eexit_count(), 1u);
+    EXPECT_EQ(enclave->transitions().eenter_count(),
+              enclave->transitions().eexit_count());
+    EXPECT_EQ(enclave->transitions().burned_cycles(),
+              enclave->transitions().tes_cycles());
+  }
 }
 
 TEST(Enclave, SetBackendNullRestoresRegular) {

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -211,6 +212,158 @@ TEST_F(SimFsTest, ConcurrentWritersOnDistinctFiles) {
     EXPECT_EQ(fs().file_size("file" + std::to_string(t)),
               500 * sizeof(int));
   }
+}
+
+// Lookups go through a per-thread memo; a close on another thread must
+// still make this thread's next operation on the handle fail.
+TEST_F(SimFsTest, HandleClosedOnAnotherThreadFailsNextOp) {
+  const auto h = fs().fopen("f", "w+b");
+  ASSERT_NE(h, 0u);
+  ASSERT_EQ(fs().fwrite("abcdefgh", 8, h), 8u);
+  const int fd = fs().open("g", O_RDWR | O_CREAT);
+  ASSERT_GE(fd, 0);
+  std::atomic<int> step{0};
+  std::jthread user([&] {
+    char buf[4];
+    EXPECT_EQ(fs().fseeko(h, 0, SEEK_SET), 0);
+    EXPECT_EQ(fs().fread(buf, 4, h), 4u);  // memoised on this thread
+    EXPECT_EQ(fs().write(fd, buf, 4), 4);
+    step.store(1, std::memory_order_release);
+    while (step.load(std::memory_order_acquire) != 2) std::this_thread::yield();
+    EXPECT_EQ(fs().fread(buf, 4, h), 0u);
+    EXPECT_EQ(fs().fwrite(buf, 4, h), 0u);
+    EXPECT_EQ(fs().fseeko(h, 0, SEEK_SET), -1);
+    EXPECT_EQ(fs().ftello(h), -1);
+    EXPECT_EQ(fs().fflush(h), EOF);
+    EXPECT_EQ(fs().write(fd, buf, 4), -1);
+    EXPECT_EQ(fs().read(fd, buf, 4), -1);
+  });
+  while (step.load(std::memory_order_acquire) != 1) std::this_thread::yield();
+  std::jthread closer([&] {
+    EXPECT_EQ(fs().fclose(h), 0);
+    EXPECT_EQ(fs().close(fd), 0);
+  });
+  closer.join();
+  step.store(2, std::memory_order_release);
+  user.join();
+  EXPECT_EQ(fs().file_size("f"), 8u);
+  EXPECT_EQ(fs().file_size("g"), 4u);
+}
+
+// An operation in flight keeps its stream alive, and so keeps a memoised
+// reference to it valid; the close must still fail every later lookup.
+TEST_F(SimFsTest, CloseFailsHandleWhileAnotherOpHoldsIt) {
+  std::vector<std::uint8_t> data(4096, 0x5A);
+  for (int round = 0; round < 100; ++round) {
+    const auto h = fs().fopen("held", "w+b");
+    ASSERT_NE(h, 0u);
+    ASSERT_EQ(fs().fwrite(data.data(), data.size(), h), data.size());
+    std::uint8_t byte = 0;
+    ASSERT_EQ(fs().fseeko(h, 0, SEEK_SET), 0);
+    ASSERT_EQ(fs().fread(&byte, 1, h), 1u);  // memoised on this thread
+    // From here on only the holder moves the stream's position, and the
+    // handle is closed on every path, so the holder always ends.
+    std::atomic<bool> reading{false};
+    std::jthread holder([&] {
+      std::vector<std::uint8_t> buf(data.size());
+      for (;;) {
+        if (fs().fseeko(h, 0, SEEK_SET) != 0) break;
+        if (fs().fread(buf.data(), buf.size(), h) == 0) break;
+        reading.store(true, std::memory_order_release);
+      }
+    });
+    while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
+    EXPECT_EQ(fs().fclose(h), 0);
+    EXPECT_EQ(fs().fread(&byte, 1, h), 0u) << "round " << round;
+    EXPECT_EQ(fs().ftello(h), -1) << "round " << round;
+  }
+}
+
+TEST_F(SimFsTest, ClearFailsEveryOldHandleAndFd) {
+  std::vector<std::uint64_t> handles;
+  std::vector<int> fds;
+  for (int i = 0; i < 4; ++i) {
+    const std::string path = "c" + std::to_string(i);
+    handles.push_back(fs().fopen(path, "w+b"));
+    ASSERT_NE(handles.back(), 0u);
+    ASSERT_EQ(fs().fwrite("x", 1, handles.back()), 1u);  // memoise
+    fds.push_back(fs().open(path, O_RDWR));
+    ASSERT_GE(fds.back(), 0);
+    ASSERT_EQ(fs().write(fds.back(), "y", 1), 1);
+  }
+  fs().clear();
+  char buf[1];
+  for (const std::uint64_t h : handles) {
+    EXPECT_EQ(fs().fread(buf, 1, h), 0u);
+    EXPECT_EQ(fs().fwrite("x", 1, h), 0u);
+    EXPECT_EQ(fs().fseeko(h, 0, SEEK_SET), -1);
+    EXPECT_EQ(fs().ftello(h), -1);
+    EXPECT_EQ(fs().fflush(h), EOF);
+    EXPECT_EQ(fs().fclose(h), EOF);
+  }
+  for (const int fd : fds) {
+    EXPECT_EQ(fs().read(fd, buf, 1), -1);
+    EXPECT_EQ(fs().write(fd, "y", 1), -1);
+    EXPECT_EQ(fs().close(fd), -1);
+  }
+  // Streams opened afterwards get fresh handles that work.
+  const auto h = fs().fopen("c0", "w+b");
+  ASSERT_NE(h, 0u);
+  for (const std::uint64_t old : handles) EXPECT_NE(h, old);
+  EXPECT_EQ(fs().fwrite("z", 1, h), 1u);
+  EXPECT_EQ(fs().fclose(h), 0);
+}
+
+TEST_F(SimFsTest, ThreadsSeekAndReadTheirOwnFiles) {
+  constexpr int kThreads = 2;
+  static constexpr std::size_t kBytes = 64 * 1024;
+  static constexpr std::size_t kChunk = 24;
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      std::vector<std::uint8_t> data(kBytes);
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        data[i] = static_cast<std::uint8_t>(i * 7 + static_cast<std::size_t>(t) * 101);
+      }
+      const auto h = fs().fopen("own" + std::to_string(t), "w+b");
+      ASSERT_NE(h, 0u);
+      ASSERT_EQ(fs().fwrite(data.data(), kBytes, h), kBytes);
+      std::uint64_t x = 88172645463325252ull + static_cast<std::uint64_t>(t);
+      std::uint8_t buf[kChunk];
+      for (int i = 0; i < 20'000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const std::size_t off = x % (kBytes - kChunk);
+        ASSERT_EQ(fs().fseeko(h, static_cast<std::int64_t>(off), SEEK_SET), 0);
+        ASSERT_EQ(fs().fread(buf, kChunk, h), kChunk);
+        ASSERT_EQ(std::memcmp(buf, data.data() + off, kChunk), 0) << off;
+      }
+      EXPECT_EQ(fs().fclose(h), 0);
+    });
+  }
+}
+
+// More live handles than a thread's memo has slots: lookups that evict
+// one another still land on the right stream.
+TEST_F(SimFsTest, ManyHandlesOnOneThreadStayDistinct) {
+  constexpr int kHandles = 40;
+  std::vector<std::uint64_t> handles;
+  for (int i = 0; i < kHandles; ++i) {
+    handles.push_back(fs().fopen("m" + std::to_string(i), "w+b"));
+    ASSERT_NE(handles.back(), 0u);
+    const auto byte = static_cast<std::uint8_t>(i);
+    ASSERT_EQ(fs().fwrite(&byte, 1, handles.back()), 1u);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (int i = kHandles - 1; i >= 0; --i) {
+      std::uint8_t byte = 0xFF;
+      ASSERT_EQ(fs().fseeko(handles[static_cast<std::size_t>(i)], 0, SEEK_SET), 0);
+      ASSERT_EQ(fs().fread(&byte, 1, handles[static_cast<std::size_t>(i)]), 1u);
+      EXPECT_EQ(byte, static_cast<std::uint8_t>(i));
+    }
+  }
+  for (const std::uint64_t h : handles) EXPECT_EQ(fs().fclose(h), 0);
 }
 
 TEST_F(SimFsTest, EnclaveLibcRoundTripThroughSimulatedWorld) {
