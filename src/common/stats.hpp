@@ -2,9 +2,6 @@
 #pragma once
 
 #include <sched.h>
-#if __has_include(<sys/rseq.h>)
-#include <sys/rseq.h>
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -32,34 +29,22 @@ struct alignas(64) PaddedCounter {
   }
 };
 
-/// The CPU the calling thread runs on.  glibc (>= 2.35) registers an rseq
-/// area per thread whose cpu_id the kernel keeps current; this reads it in
-/// place, as sched_getcpu() does, without the call (~0.6 ns against ~4 ns
-/// on a 4-vCPU Xeon).  Falls back to sched_getcpu() where rseq is absent
-/// or unregistered; 0 if even that fails.
+/// The CPU the calling thread runs on (sched_getcpu(), which glibc >= 2.35
+/// reads from its rseq area); 0 if that fails.
 inline unsigned current_cpu_index() noexcept {
-#if defined(RSEQ_SIG) && defined(__has_builtin)
-#if __has_builtin(__builtin_thread_pointer)
-  const auto* area = reinterpret_cast<const volatile struct rseq*>(
-      static_cast<const char*>(__builtin_thread_pointer()) + __rseq_offset);
-  const auto rseq_cpu = static_cast<std::int32_t>(area->cpu_id);
-  if (rseq_cpu >= 0) return static_cast<unsigned>(rseq_cpu);
-#endif
-#endif
   const int cpu = sched_getcpu();
   return cpu < 0 ? 0u : static_cast<unsigned>(cpu);
 }
 
 /// A counter for the per-call path: many threads add, few read.  It keeps
-/// one cache-line padded slot per CPU, and add()/sub() do a relaxed RMW on
-/// the slot of the CPU the calling thread runs on (current_cpu_index()).
+/// one cache-line padded slot per CPU, and add() does a relaxed RMW on the
+/// slot of the CPU the calling thread runs on (current_cpu_index()).
 /// Threads running at the same time therefore never write the same line,
 /// however many threads come and go; a thread migrated between reading
 /// its CPU and the RMW only touches another CPU's slot, which stays exact
-/// because every slot is atomic.  load() sums the slots modulo 2^64, so a
-/// level raised on one CPU and lowered on another (a gauge) nets out
-/// exactly.  It is live but not a snapshot: adds that race with it may or
-/// may not be counted.
+/// because every slot is atomic.  load() sums the slots modulo 2^64.  It
+/// is live but not a snapshot: adds that race with it may or may not be
+/// counted.
 class ShardedCounter {
  public:
   ShardedCounter();
@@ -69,9 +54,6 @@ class ShardedCounter {
 
   void add(std::uint64_t n = 1) noexcept {
     slot().fetch_add(n, std::memory_order_relaxed);
-  }
-  void sub(std::uint64_t n = 1) noexcept {
-    slot().fetch_sub(n, std::memory_order_relaxed);
   }
   std::uint64_t load() const noexcept;
 
@@ -90,6 +72,25 @@ class ShardedCounter {
 
   std::unique_ptr<Slot[]> slots_;
   unsigned mask_;
+};
+
+/// A level (calls in flight) in ShardedCounter slots: add() raises it and
+/// sub() lowers it on the caller's CPU slot, and the slots sum modulo 2^64,
+/// so a level raised on one CPU and lowered on another nets out exactly.
+/// load() reads the slots one after another; a thread that moves CPU
+/// between its add() and sub() can let it see the sub() without the add(),
+/// a sum below zero, which load() reads as 0.
+class ShardedGauge {
+ public:
+  void add(std::uint64_t n = 1) noexcept { level_.add(n); }
+  void sub(std::uint64_t n = 1) noexcept { level_.add(0 - n); }
+  std::uint64_t load() const noexcept {
+    const std::uint64_t sum = level_.load();
+    return sum >> 63 ? 0 : sum;
+  }
+
+ private:
+  ShardedCounter level_;
 };
 
 /// Welford online mean/variance with min/max. Single-writer.

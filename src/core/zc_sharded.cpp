@@ -101,9 +101,9 @@ std::vector<std::uint64_t> ZcShardedBackend::per_shard_served() const {
 }
 
 unsigned ZcShardedBackend::least_loaded_shard() const noexcept {
-  // One relaxed load per shard; the gauge is approximate by design (two
-  // callers can pick the same minimum) — the cheapness is the point, and
-  // the next call sees the corrected level.
+  // One gauge load (a sum over its per-CPU slots) per shard; the level is
+  // approximate by design (two callers can pick the same minimum) and the
+  // next call sees the corrected level.
   const auto n = static_cast<unsigned>(shards_.size());
   unsigned best = 0;
   std::uint64_t best_load = shards_[0]->stats().in_flight.load();
@@ -144,9 +144,9 @@ unsigned ZcShardedBackend::select_shard() noexcept {
 
 // Mirrors a call-path outcome into the live stats() block (callers cache
 // the reference and read deltas mid-run, so lazy aggregation is not an
-// option).  One relaxed add on a padded line per call — the same
-// shared-stats cost every other backend pays; the *handoff* path
-// (reservation, request buffer, completion wait) stays shard-private.
+// option).  One relaxed add on the caller's CPU slot per call, as every
+// other backend pays; the *handoff* path (reservation, request buffer,
+// completion wait) stays shard-private.
 CallPath ZcShardedBackend::record(CallPath path) noexcept {
   switch (path) {
     case CallPath::kRegular:
@@ -181,9 +181,10 @@ bool ZcShardedBackend::try_route_switchless(unsigned primary,
   if (cfg_.steal == ShardSteal::kMaxLoad) {
     // Busiest victim first — the shard whose workers are provably awake
     // (an idle-looking shard may be parked by its scheduler, where the
-    // probe fails anyway); the rest follow in scan order.  One relaxed
-    // gauge load per shard, no allocation on the contention path; ties
-    // resolve to scan order so an idle backend stays deterministic.
+    // probe fails anyway); the rest follow in scan order.  One gauge load
+    // (a sum over its per-CPU slots) per shard, no allocation on the
+    // contention path; ties resolve to scan order so an idle backend
+    // stays deterministic.
     std::uint64_t best_load = 0;
     for (unsigned i = 1; i < n; ++i) {
       const std::uint64_t load =

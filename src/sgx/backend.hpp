@@ -83,8 +83,9 @@ struct BackendStats {
   /// Calls currently occupying one of this backend's workers (claimed
   /// through collected).  This is the cheap per-shard load signal the
   /// sharded backend's load-aware selectors read: a level, not a total
-  /// (add() on entry, sub() on exit; the slots sum modulo 2^64).
-  ShardedCounter in_flight;
+  /// (add() on entry, sub() on exit; a sum that a racing load() sees
+  /// below zero reads 0).
+  ShardedGauge in_flight;
 
   std::uint64_t total_calls() const noexcept {
     return regular_calls.load() + switchless_calls.load() +

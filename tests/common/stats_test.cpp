@@ -102,8 +102,8 @@ TEST(ShardedCounter, LoadIsLiveWhileThreadsAdd) {
 
 // A gauge: raised on one thread (and CPU), lowered on another.  Its slots
 // hold +n and -n modulo 2^64 and the level sums back to 0.
-TEST(ShardedCounter, GaugeRaisedAndLoweredOnDifferentThreadsReturnsToZero) {
-  ShardedCounter level;
+TEST(ShardedGauge, RaisedAndLoweredOnDifferentThreadsReturnsToZero) {
+  ShardedGauge level;
   const unsigned cpus = host_logical_cpus();
   constexpr std::uint64_t kCalls = 50'000;
   std::atomic<std::uint64_t> raised{0};
@@ -126,10 +126,19 @@ TEST(ShardedCounter, GaugeRaisedAndLoweredOnDifferentThreadsReturnsToZero) {
   raiser.join();
   lowerer.join();
   EXPECT_EQ(level.load(), 0u);
+}
+
+// A load() racing a caller that changed CPU can see its sub() without its
+// add(): such a sum lies below zero and reads 0, never ~2^64.  The slots
+// keep the deficit, so the level is exact again once the add() lands.
+TEST(ShardedGauge, SumBelowZeroReadsZero) {
+  ShardedGauge level;
   level.sub(3);
-  EXPECT_EQ(level.load(), ~std::uint64_t{0} - 2);  // wraps, as a gauge may
+  EXPECT_EQ(level.load(), 0u);
   level.add(3);
   EXPECT_EQ(level.load(), 0u);
+  level.add(2);
+  EXPECT_EQ(level.load(), 2u);
 }
 
 TEST(RunningStat, EmptyIsZero) {
